@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.optimize
 
 from .errors import OptimizerError
 
@@ -66,6 +65,8 @@ def multistart_minimize(
     relative to the objective scale; if no restart converges,
     OptimizerError is raised.
     """
+    import scipy.optimize
+
     best = None
     n_converged = 0
     all_fun: list[float] = []

@@ -8,7 +8,6 @@ handling and branch-cut failures live in exactly one place.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import LogBranchError, NonRealLogError
 
@@ -26,6 +25,8 @@ def _as_square(a: np.ndarray, name: str) -> np.ndarray:
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square matrix (real in, real out)."""
+    import scipy.linalg
+
     a = _as_square(a, "a")
     return scipy.linalg.expm(a)
 
@@ -57,6 +58,8 @@ def mat_log_real(s: np.ndarray, tol_imag: float = 1e-8) -> np.ndarray:
         If the computed logarithm retains imaginary parts above
         ``tol_imag``.
     """
+    import scipy.linalg
+
     s = _as_square(s, "s")
     if np.iscomplexobj(s):
         if np.abs(s.imag).max() > 0:

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from ._optim import OptConfig
 from .dynamics import (
@@ -61,14 +60,23 @@ def classicality_check(g: Generator | np.ndarray) -> bool:
     return bool(off.min() >= -1e-12)
 
 
+def _off_diagonal_negativity(off: np.ndarray) -> float:
+    """``negativity`` of a finite square matrix that may be overwritten."""
+    np.fill_diagonal(off, 0.0)
+    return float(max(0.0, -off.min()))
+
+
 def negativity(m: np.ndarray) -> float:
-    """Magnitude of the most negative off-diagonal entry (0 if none)."""
+    """Magnitude of the most negative off-diagonal entry (0 if none).
+
+    Raises ValueError for a non-square matrix or non-finite entries.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    off = m.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(max(0.0, -off.min()))
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite entries")
+    return _off_diagonal_negativity(m.copy())
 
 
 @dataclass(frozen=True)
@@ -80,9 +88,22 @@ class DeltaQuantReport:
     restarts_agreeing: int
 
 
-def _conjugated_negativity(lam: np.ndarray, lmat: np.ndarray, basis: np.ndarray) -> float:
-    u = mat_exp(np.einsum("i,iab->ab", lam, basis))
-    return negativity(u @ lmat @ u.T)
+def _frame_objective(lmat: np.ndarray, basis: np.ndarray):
+    """``lam -> negativity(U L U^T)`` with ``U = mat_exp(sum_i lam_i H_i)``.
+
+    The search builds every matrix itself from inputs the caller has
+    checked, so each evaluation calls ``expm`` and the negativity
+    arithmetic directly, without per-call validation.
+    """
+    import scipy.linalg
+
+    expm = scipy.linalg.expm
+
+    def fun(lam: np.ndarray) -> float:
+        u = expm(np.einsum("i,iab->ab", lam, basis))
+        return _off_diagonal_negativity(u @ lmat @ u.T)
+
+    return fun
 
 
 def _coordinate_polish(
@@ -119,14 +140,25 @@ def delta_quant_detail(
     bounds ``[-4 pi, 4 pi]``. Each simplex run is followed by a
     coordinate-descent polish. The reported value is an upper bound of the
     true infimum; zero means the negativity is a frame artifact.
+
+    Raises ValueError when ``g`` is not a square ``n x n`` matrix, ``b`` is
+    not a stack of ``n x n`` matrices, or either has non-finite entries.
     """
+    import scipy.optimize
+
     lmat = as_matrix(g)
     basis = np.asarray(b)
+    square = lmat.ndim == 2 and lmat.shape[0] == lmat.shape[1]
+    if not square or basis.ndim != 3 or basis.shape[1:] != lmat.shape:
+        raise ValueError(
+            f"expected a square generator and a stack of matching basis matrices, "
+            f"got shapes {lmat.shape} and {basis.shape}"
+        )
+    if not (np.all(np.isfinite(lmat)) and np.all(np.isfinite(basis))):
+        raise ValueError("generator or basis contains non-finite entries")
     opt = opt or OptConfig(restarts=32)
     nlam = basis.shape[0]
-
-    def fun(lam: np.ndarray) -> float:
-        return _conjugated_negativity(lam, lmat, basis)
+    fun = _frame_objective(lmat, basis)
 
     results: list[tuple[float, np.ndarray]] = []
     for k in range(opt.restarts):

@@ -162,6 +162,23 @@ def simulate_counts(
     return CountsRecord(dim=s.dim, shots=shots, counts=counts)
 
 
+def _divide_out(
+    s_dec: np.ndarray, s_decu: np.ndarray, s: SicPovm, opt: OptConfig | None
+) -> np.ndarray:
+    """CPTP projection of ``s_dec^-1 s_decu``: the chain with the calibration
+    channel divided out.
+
+    Raises NumericalDomainError when ``s_dec`` is numerically singular
+    (condition number above 1e8).
+    """
+    cond = np.linalg.cond(s_dec)
+    if not np.isfinite(cond) or cond > 1e8:
+        raise NumericalDomainError(
+            f"calibration channel is numerically singular (cond {cond:.3e})"
+        )
+    return project_cptp(np.linalg.solve(s_dec, s_decu), s, s, opt)
+
+
 def calibrate(
     s_dec_raw: np.ndarray,
     s_decu_raw: np.ndarray,
@@ -175,8 +192,9 @@ def calibrate(
     inverted, and the product is projected again (a product with an
     inverse need not be CPTP). ``project_before_inversion=False`` instead
     inverts the raw calibration matrix directly and projects only the
-    final product; the difference probes sensitivity of third-decimal
-    results to the ordering.
+    final product (the returned ``s_dec`` is still the projected
+    calibration channel); the difference probes sensitivity of
+    third-decimal results to the ordering.
 
     Returns ``(s_dec, s_u)``. Raises NumericalDomainError when the
     calibration channel is numerically singular (condition number above
@@ -186,18 +204,9 @@ def calibrate(
     s_decu_raw = np.asarray(s_decu_raw, dtype=float)
     s_dec = project_cptp(s_dec_raw, s, s, opt)
     if project_before_inversion:
-        invert_target = s_dec
-        product_with = project_cptp(s_decu_raw, s, s, opt)
+        s_u = _divide_out(s_dec, project_cptp(s_decu_raw, s, s, opt), s, opt)
     else:
-        invert_target = s_dec_raw
-        product_with = s_decu_raw
-    cond = np.linalg.cond(invert_target)
-    if not np.isfinite(cond) or cond > 1e8:
-        raise NumericalDomainError(
-            f"calibration channel is numerically singular (cond {cond:.3e})"
-        )
-    s_u_raw = np.linalg.solve(invert_target, product_with)
-    s_u = project_cptp(s_u_raw, s, s, opt)
+        s_u = _divide_out(s_dec_raw, s_decu_raw, s, opt)
     return s_dec, s_u
 
 
@@ -213,6 +222,12 @@ def run_pipeline(
     chain alone, ``counts_main`` from the chain with the process of
     interest inserted. Both records need the same dimension and shot
     count.
+
+    The steps are those of ``calibrate`` with ``project_before_inversion``:
+    each raw matrix is projected to CPTP once, and those projections serve
+    both as ``cal.s_cptp``/``main.s_cptp`` and as the factors of ``s_u``,
+    so the pipeline makes three ``project_cptp`` calls and its results are
+    exactly those of ``calibrate(raw_cal, raw_main)``.
     """
     if counts_main.dim != counts_cal.dim:
         raise ValueError(
@@ -227,8 +242,9 @@ def run_pipeline(
     delta = error_estimate(counts_main.shots)
     raw_cal = reconstruct_raw(freq_from_counts(counts_cal), s)
     raw_main = reconstruct_raw(freq_from_counts(counts_main), s)
-    s_dec, s_u = calibrate(raw_cal, raw_main, s, opt)
+    s_dec = project_cptp(raw_cal, s, s, opt)
     s_decu = project_cptp(raw_main, s, s, opt)
+    s_u = _divide_out(s_dec, s_decu, s, opt)
     seed = (opt or OptConfig()).seed
     sic_id = fingerprint(s)
     cal_report = ReconstructionReport(

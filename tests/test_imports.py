@@ -1,0 +1,35 @@
+import os
+import pathlib
+import subprocess
+import sys
+
+import sicprob
+
+# A fresh interpreter: import the package and the CLI, run a state round
+# trip and a Kraus channel round trip, and list the SciPy modules loaded.
+SCRIPT = """
+import sys
+import numpy as np
+import sicprob as sp
+import sicprob.cli
+
+sic = sp.builtin_qubit()
+rho = np.array([[0.75, 0.2 - 0.1j], [0.2 + 0.1j, 0.25]])
+assert np.allclose(sp.prob_to_state(sp.state_to_prob(rho, sic), sic), rho)
+s = sp.kraus_to_pstoch([np.diag([1, 1j])], sic, sic)
+assert sp.is_cptp(s, sic, sic)[0]
+assert np.allclose(sp.choi_to_pstoch(sp.pstoch_to_choi(s, sic, sic), sic, sic), s)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_conversions_do_not_load_scipy():
+    # SciPy is imported by the functions that need a matrix function or an
+    # optimizer, so importing the package and converting stays cheap
+    src = pathlib.Path(sicprob.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from sicprob.dynamics import (
 from sicprob.linalg import frobenius_dist, mat_exp
 from sicprob.measures import (
     ExperimentScheme,
+    _frame_objective,
     analyze_evolution,
     classicality_check,
     delta_nmark,
@@ -23,7 +26,8 @@ from sicprob.measures import (
     markov_report,
     negativity,
 )
-from sicprob.sic import builtin_qubit
+from sicprob.serialize import load_fiducial
+from sicprob.sic import builtin_qubit, from_fiducial
 from sicprob.states import measurement_map, state_to_prob
 
 from fixtures import (
@@ -37,6 +41,12 @@ from fixtures import (
 
 SIC = builtin_qubit()
 SZ = np.diag([1.0, -1.0]).astype(complex)
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def load_d3():
+    with open(DATA / "fiducial_d3.json", encoding="utf-8") as fh:
+        return from_fiducial(load_fiducial(json.load(fh)))
 
 
 def test_classicality_check():
@@ -66,6 +76,48 @@ def test_negativity_permutation_invariant():
     m = rng.standard_normal((4, 4))
     perm = rng.permutation(4)
     assert negativity(m[np.ix_(perm, perm)]) == pytest.approx(negativity(m))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_negativity_rejects_nonfinite(bad):
+    m = H3_QUBIT.copy()
+    m[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        negativity(m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_delta_quant_rejects_nonfinite(bad):
+    b = basis_hunit(SIC)
+    g = H3_QUBIT.copy()
+    g[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        delta_quant(g, b, OptConfig(restarts=1))
+    b_bad = b.copy()
+    b_bad[0, 0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        delta_quant_detail(H3_QUBIT, b_bad, OptConfig(restarts=1))
+
+
+def test_delta_quant_rejects_mismatched_basis():
+    with pytest.raises(ValueError, match="shapes"):
+        delta_quant_detail(H3_QUBIT, basis_hunit(load_d3()), OptConfig(restarts=1))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_frame_objective_is_negativity_of_rotated_generator(dim):
+    # the search objective skips the public functions' checks; its values
+    # must still be exactly theirs
+    sic = SIC if dim == 2 else load_d3()
+    rng = np.random.default_rng(120 + dim)
+    noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    lmat = lgen_from_gksl(GkslSpec(dim, random_hermitian(rng, dim), (0.3 * noise,)), sic).matrix
+    b = basis_hunit(sic)
+    fun = _frame_objective(lmat, b)
+    for _ in range(4):
+        lam = rng.uniform(-np.pi, np.pi, b.shape[0])
+        u = mat_exp(np.einsum("i,iab->ab", lam, b))
+        assert fun(lam) == negativity(u @ lmat @ u.T)
 
 
 def test_delta_quant_zero_for_classical_generator():

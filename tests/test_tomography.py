@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sicprob._optim import OptConfig
-from sicprob.channels import is_cptp, kraus_to_pstoch
+import sicprob.tomography
+from sicprob.channels import is_cptp, kraus_to_pstoch, project_cptp
 from sicprob.errors import NumericalDomainError
 from sicprob.linalg import mat_exp
 from sicprob.sic import builtin_qubit
@@ -194,6 +195,38 @@ def test_run_pipeline_end_to_end():
     assert report.analysis_u.quant.value >= 0
     assert report.analysis_cal.mark.delta_nmark >= 0
     assert "sic" in report.main.meta
+
+
+def test_run_pipeline_projects_each_matrix_once(monkeypatch):
+    # the projections of the raw matrices serve both the reports and the
+    # calibration, so the pipeline matches calibrate() bit for bit
+    sg = kraus_to_pstoch([np.diag([1.0, 1j])], SIC, SIC)
+    a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(0.9)]], dtype=complex)
+    a1 = np.array([[0.0, np.sqrt(0.1)], [0.0, 0.0]], dtype=complex)
+    s_dec = kraus_to_pstoch([a0, a1], SIC, SIC)
+    counts_cal = simulate_counts(s_dec, SIC, shots=1024, seed=73)
+    counts_main = simulate_counts(s_dec @ sg, SIC, shots=1024, seed=74)
+    opt = OptConfig(restarts=2, seed=34)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return project_cptp(*args, **kwargs)
+
+    monkeypatch.setattr(sicprob.tomography, "project_cptp", counting)
+    report = run_pipeline(counts_main, counts_cal, SIC, opt)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    raw_cal, raw_main = report.cal.s_raw, report.main.s_raw
+    cal_dec, cal_u = calibrate(raw_cal, raw_main, SIC, opt)
+    assert np.array_equal(report.cal.s_cptp, cal_dec)
+    assert np.array_equal(report.s_u, cal_u)
+    assert np.array_equal(report.main.s_cptp, project_cptp(raw_main, SIC, SIC, opt))
+    # inverting the raw calibration matrix projects only the product
+    raw_dec, raw_u = calibrate(raw_cal, raw_main, SIC, opt, project_before_inversion=False)
+    assert np.array_equal(raw_dec, cal_dec)
+    expected_u = project_cptp(np.linalg.solve(raw_cal, raw_main), SIC, SIC, opt)
+    assert np.array_equal(raw_u, expected_u)
 
 
 def test_run_pipeline_rejects_mismatched_counts():
