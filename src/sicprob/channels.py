@@ -10,12 +10,13 @@ reference maps for contrast.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._optim import OptConfig
-from .errors import NumericalDomainError, OptimizerError, PhysicalityError
+from .errors import NumericalDomainError, OptimizerError, PhysicalityError, _require_finite
 from .sic import SicPovm
 
 __all__ = [
@@ -31,18 +32,22 @@ __all__ = [
 ]
 
 
-def _check_kraus(kraus: list[np.ndarray], atol: float = 1e-9) -> tuple[int, int]:
-    if not kraus:
+def _stack_kraus(kraus, atol: float = 1e-9) -> np.ndarray:
+    """The Kraus set as one ``(m, d_out, d_in)`` array, checked to be TP."""
+    if len(kraus) == 0:
         raise ValueError("empty Kraus set")
-    d_out, d_in = kraus[0].shape
-    for a in kraus:
-        if a.shape != (d_out, d_in):
-            raise ValueError("Kraus operators have inconsistent shapes")
-    total = sum(a.conj().T @ a for a in kraus)
-    dev = float(np.abs(total - np.eye(d_in)).max())
+    try:
+        ops = np.array(kraus, dtype=complex)
+    except ValueError as exc:
+        raise ValueError("Kraus operators have inconsistent shapes") from exc
+    if ops.ndim != 3:
+        raise ValueError(f"Kraus set must be a list of matrices, got shape {ops.shape}")
+    _require_finite(ops, "Kraus set")
+    total = np.einsum("mki,mkj->ij", ops.conj(), ops)
+    dev = float(np.abs(total - np.eye(ops.shape[2])).max())
     if dev > atol:
         raise PhysicalityError(f"Kraus set is not trace preserving: |sum A^H A - I| = {dev:.3e}")
-    return d_in, d_out
+    return ops
 
 
 def kraus_to_pstoch(
@@ -52,16 +57,18 @@ def kraus_to_pstoch(
 ) -> np.ndarray:
     """Pseudostochastic matrix ``K_out^-1 (sum_k A_k (x) A_k.conj()) K_in``.
 
-    Raises PhysicalityError for a non-trace-preserving Kraus set and
+    Raises ValueError for an empty, ragged or non-finite Kraus set,
+    PhysicalityError for a non-trace-preserving one and
     NumericalDomainError if the result fails to be real to 1e-8.
     """
-    kraus = [np.asarray(a, dtype=complex) for a in kraus]
-    d_in, d_out = _check_kraus(kraus)
+    ops = _stack_kraus(kraus)
+    _, d_out, d_in = ops.shape
     if d_in != sic_in.dim or d_out != sic_out.dim:
         raise ValueError(
             f"Kraus shape ({d_out}, {d_in}) does not match SICs ({sic_out.dim}, {sic_in.dim})"
         )
-    amat = sum(np.kron(a, a.conj()) for a in kraus)
+    # sum_k kron(A_k, conj(A_k)) as one contraction over the stacked set
+    amat = np.einsum("mij,mkl->ikjl", ops, ops.conj()).reshape(d_out * d_out, d_in * d_in)
     s = sic_out.kinv @ amat @ sic_in.kmat
     imag = float(np.abs(s.imag).max())
     if imag > 1e-8:
@@ -105,23 +112,36 @@ def _check_column_sums(s: np.ndarray, atol: float = 1e-9) -> None:
         raise ValueError(f"columns do not sum to 1 (max deviation {dev:.3e})")
 
 
+def _choi(s: np.ndarray, sic_in: SicPovm, sic_out: SicPovm) -> np.ndarray:
+    """Choi matrix of a channel matrix: ``K_out S K_in^-1 / d_in``, reshuffled.
+
+    The one place the ``(out, out) x (in, in)`` superoperator indices are
+    regrouped into the ``(in, out) x (in, out)`` Choi order.
+    """
+    d_in, d_out = sic_in.dim, sic_out.dim
+    r = (sic_out.kmat @ s @ sic_in.kinv) / d_in
+    return (
+        r.reshape(d_out, d_out, d_in, d_in)
+        .transpose(2, 0, 3, 1)
+        .reshape(d_in * d_out, d_in * d_out)
+    )
+
+
 def pstoch_to_choi(s: np.ndarray, sic_in: SicPovm, sic_out: SicPovm) -> np.ndarray:
     """Choi state of the channel, index order ``(in, out) x (in, out)``.
 
     Built by conjugating with the frame-change matrices and reshuffling;
-    Hermitian to 1e-9 for any real input with unit column sums.
+    Hermitian to 1e-9 for any real input with unit column sums. Raises
+    ValueError for a wrong shape, non-finite entries or column sums other
+    than 1.
     """
     s = np.asarray(s, dtype=float)
     d_in, d_out = sic_in.dim, sic_out.dim
     if s.shape != (d_out * d_out, d_in * d_in):
         raise ValueError(f"matrix shape {s.shape} does not match SIC dims ({d_out}², {d_in}²)")
+    _require_finite(s, "channel matrix")
     _check_column_sums(s)
-    r = (sic_out.kmat @ s @ sic_in.kinv) / d_in
-    rho = (
-        r.reshape(d_out, d_out, d_in, d_in)
-        .transpose(2, 0, 3, 1)
-        .reshape(d_in * d_out, d_in * d_out)
-    )
+    rho = _choi(s, sic_in, sic_out)
     herm = float(np.abs(rho - rho.conj().T).max())
     if herm > 1e-9:
         raise NumericalDomainError(f"Choi matrix not Hermitian: dev {herm:.3e}")
@@ -129,12 +149,16 @@ def pstoch_to_choi(s: np.ndarray, sic_in: SicPovm, sic_out: SicPovm) -> np.ndarr
 
 
 def choi_to_pstoch(rho: np.ndarray, sic_in: SicPovm, sic_out: SicPovm) -> np.ndarray:
-    """Inverse of :func:`pstoch_to_choi`."""
+    """Inverse of :func:`pstoch_to_choi`.
+
+    Raises ValueError for a wrong shape or non-finite entries.
+    """
     rho = np.asarray(rho, dtype=complex)
     d_in, d_out = sic_in.dim, sic_out.dim
     n = d_in * d_out
     if rho.shape != (n, n):
         raise ValueError(f"Choi matrix shape {rho.shape}, expected ({n}, {n})")
+    _require_finite(rho, "Choi matrix")
     r = (
         rho.reshape(d_in, d_out, d_in, d_out)
         .transpose(1, 3, 0, 2)
@@ -165,19 +189,17 @@ def is_cptp(
     True iff the Choi matrix is PSD to ``-tol`` and its partial trace over
     the output factor equals ``I/d_in`` within ``tol`` (the latter is the
     matrix form of ``sum_k A_k^H A_k = I``). Report-only; never raises for
-    an unphysical matrix.
+    an unphysical matrix. A matrix with non-finite entries gets ``False``
+    and non-finite residuals.
     """
     s = np.asarray(s, dtype=float)
     d_in, d_out = sic_in.dim, sic_out.dim
-    r = (sic_out.kmat @ s @ sic_in.kinv) / d_in
-    rho = (
-        r.reshape(d_out, d_out, d_in, d_in)
-        .transpose(2, 0, 3, 1)
-        .reshape(d_in * d_out, d_in * d_out)
-    )
+    rho = _choi(s, sic_in, sic_out)
     herm = float(np.abs(rho - rho.conj().T).max())
     rho_h = (rho + rho.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(rho_h).min())
+    # herm is non-finite exactly when rho is, and then eigvalsh would raise
+    # instead of converging; report the NaN instead
+    min_eig = float(np.linalg.eigvalsh(rho_h).min()) if math.isfinite(herm) else math.nan
     tr_out = np.einsum(
         "iaja->ij", rho_h.reshape(d_in, d_out, d_in, d_out)
     )
@@ -256,11 +278,7 @@ def project_cptp(
     theta = _theta_stack(sic_in, sic_out, sig)
     eye = np.eye(d)
 
-    r = (sic_out.kmat @ s_raw @ sic_in.kinv) / d
-    rho = (
-        r.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(n, n)
-    )
-    v_start = _kraus_coeffs_from_choi(rho, d, sig)
+    v_start = _kraus_coeffs_from_choi(_choi(s_raw, sic_in, sic_out), d, sig)
     x_start = np.concatenate([v_start.real.ravel(), v_start.imag.ravel()])
 
     def make_objective(mu: float):

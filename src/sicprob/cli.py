@@ -77,7 +77,7 @@ def _fmt_matrix(name: str, m: np.ndarray) -> str:
 
 
 def _rows(m: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+    return np.asarray(m, dtype=float).tolist()
 
 
 def _csv_blocks(path: str, named: list[tuple[str, np.ndarray]]) -> None:

@@ -8,6 +8,8 @@ non-convergence are all different failure modes.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class PhysicalityError(ValueError):
     """An object fails a quantum-mechanical validity requirement.
@@ -36,3 +38,16 @@ class NonRealLogError(NumericalDomainError):
 
 class OptimizerError(RuntimeError):
     """No optimizer restart reached the requested convergence criteria."""
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Raise ValueError (CLI exit 2) if ``a`` holds a NaN or an infinity.
+
+    Conversions, decoders and kernels call this before their physical
+    checks: NaN fails every ``<``/``>`` test silently, so those checks
+    would otherwise let it through.
+    """
+    # count_nonzero is a single C call; ndarray.all() costs several times as
+    # much on the small arrays this package handles
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise ValueError(f"{what} contains non-finite entries")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LogBranchError, NonRealLogError
+from .errors import LogBranchError, NonRealLogError, _require_finite
 
 __all__ = ["mat_exp", "mat_log_real", "eig_hermitian", "frobenius_dist"]
 
@@ -18,8 +18,7 @@ def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+    _require_finite(a, name)
     return a
 
 

@@ -26,7 +26,7 @@ from .dynamics import (
     project_mark,
     project_unit,
 )
-from .errors import OptimizerError
+from .errors import OptimizerError, _require_finite
 from .linalg import frobenius_dist, mat_exp, mat_log_real
 from .sic import SicPovm
 from .states import MeasurementMap
@@ -74,8 +74,7 @@ def negativity(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
+    _require_finite(m, "matrix")
     return _off_diagonal_negativity(m.copy())
 
 
@@ -154,8 +153,8 @@ def delta_quant_detail(
             f"expected a square generator and a stack of matching basis matrices, "
             f"got shapes {lmat.shape} and {basis.shape}"
         )
-    if not (np.all(np.isfinite(lmat)) and np.all(np.isfinite(basis))):
-        raise ValueError("generator or basis contains non-finite entries")
+    _require_finite(lmat, "generator")
+    _require_finite(basis, "basis")
     opt = opt or OptConfig(restarts=32)
     nlam = basis.shape[0]
     fun = _frame_objective(lmat, basis)

@@ -1,9 +1,10 @@
 """JSON codecs for every object that crosses the package boundary.
 
 Complex matrices are stored as row-major flat lists of ``[re, im]`` pairs;
-real matrices as nested row lists. Decoders validate shape and type and
-raise ValueError with the offending key, leaving physical validation to
-the constructors they feed.
+real matrices as nested row lists. Decoders validate shape, type and
+finiteness (JSON admits ``NaN`` and ``Infinity``) and raise ValueError with
+the offending key, leaving physical validation to the constructors they
+feed. Both directions convert whole arrays at once.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import Generator, GkslSpec
+from .errors import _require_finite
 from .measures import DeltaQuantReport, MarkovReport
 from .sic import Fiducial, SicPovm
 from .tomography import CountsRecord
@@ -41,28 +43,37 @@ __all__ = [
 
 
 def encode_complex_matrix(m: np.ndarray) -> list[list[float]]:
-    m = np.asarray(m, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    pairs = np.ascontiguousarray(m, dtype=complex).reshape(-1, 1).view(float)
+    return pairs.tolist()
 
 
 def decode_complex_matrix(data, rows: int, cols: int, key: str) -> np.ndarray:
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ValueError(f"'{key}' must be a flat list of {rows * cols} [re, im] pairs")
     try:
-        flat = np.array([complex(float(p[0]), float(p[1])) for p in data])
-    except (TypeError, ValueError, IndexError) as exc:
+        pairs = np.array(data, dtype=float)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"'{key}' entries must be [re, im] pairs") from exc
-    return flat.reshape(rows, cols)
+    if pairs.shape != (rows * cols, 2):
+        raise ValueError(f"'{key}' entries must be [re, im] pairs")
+    _require_finite(pairs, f"'{key}'")
+    return pairs.view(complex).reshape(rows, cols)
 
 
-def _real_matrix(data, rows: int, cols: int, key: str) -> np.ndarray:
+def _real_array(data, shape: tuple[int, ...], key: str) -> np.ndarray:
     try:
         m = np.array(data, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"'{key}' must be a nested list of numbers") from exc
-    if m.shape != (rows, cols):
-        raise ValueError(f"'{key}' has shape {m.shape}, expected ({rows}, {cols})")
+        raise ValueError(f"'{key}' must be a (nested) list of numbers") from exc
+    if m.shape != shape:
+        raise ValueError(f"'{key}' has shape {m.shape}, expected {shape}")
+    _require_finite(m, f"'{key}'")
     return m
+
+
+def _floats(m: np.ndarray) -> list:
+    """A real array as (nested) lists of Python floats."""
+    return np.asarray(m, dtype=float).tolist()
 
 
 def _dim(obj: dict, key: str = "dim") -> int:
@@ -73,10 +84,9 @@ def _dim(obj: dict, key: str = "dim") -> int:
 
 
 def dump_fiducial(f: Fiducial) -> dict:
-    amps = np.asarray(f.amplitudes, dtype=complex)
     return {
         "dim": int(f.dim),
-        "amplitudes": [[float(z.real), float(z.imag)] for z in amps],
+        "amplitudes": encode_complex_matrix(f.amplitudes),
     }
 
 
@@ -97,7 +107,7 @@ def dump_sic(s: SicPovm) -> dict:
 
 
 def dump_prob_vector(p: np.ndarray, dim: int) -> dict:
-    return {"dim": int(dim), "probs": [float(x) for x in np.asarray(p, dtype=float)]}
+    return {"dim": int(dim), "probs": _floats(p)}
 
 
 def load_prob_vector(obj: dict) -> tuple[int, np.ndarray]:
@@ -105,7 +115,7 @@ def load_prob_vector(obj: dict) -> tuple[int, np.ndarray]:
     probs = obj.get("probs")
     if not isinstance(probs, list) or len(probs) != d * d:
         raise ValueError(f"'probs' must list {d * d} numbers")
-    return d, np.array(probs, dtype=float)
+    return d, _real_array(probs, (d * d,), "probs")
 
 
 def dump_density(rho: np.ndarray, dim: int) -> dict:
@@ -139,14 +149,14 @@ def dump_pstoch(s: np.ndarray, dim_in: int, dim_out: int) -> dict:
     return {
         "dim_in": int(dim_in),
         "dim_out": int(dim_out),
-        "matrix": [[float(x) for x in row] for row in np.asarray(s, dtype=float)],
+        "matrix": _floats(s),
     }
 
 
 def load_pstoch(obj: dict) -> tuple[int, int, np.ndarray]:
     d_in = _dim(obj, "dim_in")
     d_out = _dim(obj, "dim_out")
-    m = _real_matrix(obj.get("matrix"), d_out * d_out, d_in * d_in, "matrix")
+    m = _real_array(obj.get("matrix"), (d_out * d_out, d_in * d_in), "matrix")
     return d_in, d_out, m
 
 
@@ -173,25 +183,25 @@ def load_gksl(obj: dict) -> GkslSpec:
 def dump_generator(g: Generator) -> dict:
     out = {
         "dim": int(g.dim),
-        "matrix": [[float(x) for x in row] for row in np.asarray(g.matrix, dtype=float)],
+        "matrix": _floats(g.matrix),
     }
     if g.h_part is not None:
-        out["h_part"] = [[float(x) for x in row] for row in np.asarray(g.h_part)]
+        out["h_part"] = _floats(g.h_part)
     if g.d_part is not None:
-        out["d_part"] = [[float(x) for x in row] for row in np.asarray(g.d_part)]
+        out["d_part"] = _floats(g.d_part)
     return out
 
 
 def load_generator(obj: dict) -> Generator:
     d = _dim(obj)
     n = d * d
-    matrix = _real_matrix(obj.get("matrix"), n, n, "matrix")
+    matrix = _real_array(obj.get("matrix"), (n, n), "matrix")
     h_part = obj.get("h_part")
     d_part = obj.get("d_part")
     if h_part is not None:
-        h_part = _real_matrix(h_part, n, n, "h_part")
+        h_part = _real_array(h_part, (n, n), "h_part")
     if d_part is not None:
-        d_part = _real_matrix(d_part, n, n, "d_part")
+        d_part = _real_array(d_part, (n, n), "d_part")
     return Generator(dim=d, matrix=matrix, h_part=h_part, d_part=d_part)
 
 
@@ -199,7 +209,7 @@ def dump_counts(c: CountsRecord) -> dict:
     return {
         "dim": int(c.dim),
         "shots": int(c.shots),
-        "counts": [[int(x) for x in row] for row in np.asarray(c.counts)],
+        "counts": np.asarray(c.counts, dtype=np.int64).tolist(),
     }
 
 
@@ -221,10 +231,11 @@ def load_counts(obj: dict) -> CountsRecord:
 
 def dump_quant_report(r: DeltaQuantReport) -> dict:
     # The key holds the lambda of the frame the search certifies as the
-    # extremum of the negativity over the unitary family.
+    # minimiser of the negativity over the unitary family; the name is kept
+    # for readers of existing output files.
     return {
         "delta_quant": float(r.value),
-        "argmax_lambda": [float(x) for x in np.asarray(r.lam)],
+        "argmax_lambda": _floats(r.lam),
         "restarts_agreeing": int(r.restarts_agreeing),
     }
 
@@ -232,6 +243,6 @@ def dump_quant_report(r: DeltaQuantReport) -> dict:
 def dump_markov_report(r: MarkovReport) -> dict:
     return {
         "delta_nmark": float(r.delta_nmark),
-        "s_mark": [[float(x) for x in row] for row in np.asarray(r.s_mark)],
+        "s_mark": _floats(r.s_mark),
         "log_residual": float(r.log_residual),
     }

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhysicalityError
+from .errors import PhysicalityError, _require_finite
 from .sic import SicPovm, builtin_qubit
 
 __all__ = [
@@ -32,13 +32,14 @@ def validate_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the array.
 
     Raises PhysicalityError with the violated property, or ValueError on a
-    dimension mismatch.
+    dimension mismatch or non-finite entries.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise ValueError(f"dimension mismatch: matrix is {rho.shape[0]}, SIC is {dim}")
+    _require_finite(rho, "density matrix")
     herm_dev = float(np.abs(rho - rho.conj().T).max())
     if herm_dev > 1e-10:
         raise PhysicalityError(f"density matrix not Hermitian: dev {herm_dev:.3e}")
@@ -52,7 +53,11 @@ def validate_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
 
 
 def state_to_prob(rho: np.ndarray, s: SicPovm) -> np.ndarray:
-    """SIC outcome probabilities ``p_i = Tr(rho P_i) / d`` of a state."""
+    """SIC outcome probabilities ``p_i = Tr(rho P_i) / d`` of a state.
+
+    The state must pass :func:`validate_density`; non-finite entries raise
+    ValueError.
+    """
     rho = validate_density(rho, s.dim)
     p = np.einsum("ab,iba->i", rho, s.projectors) / s.dim
     return p.real
@@ -63,12 +68,14 @@ def prob_to_state(p: np.ndarray, s: SicPovm) -> np.ndarray:
 
     The result is Hermitian with unit trace whenever ``p`` sums to 1, but
     positivity is not guaranteed for arbitrary input; that is the point of
-    :func:`qplex_membership`. Entries are used as given, never clipped.
+    :func:`qplex_membership`. Entries are used as given, never clipped;
+    non-finite ones raise ValueError.
     """
     p = np.asarray(p, dtype=float)
     d = s.dim
     if p.shape != (d * d,):
         raise ValueError(f"expected {d * d} probabilities, got shape {p.shape}")
+    _require_finite(p, "probability vector")
     weights = (d + 1) * p - 1.0 / d
     return np.einsum("i,iab->ab", weights, s.projectors)
 
@@ -77,7 +84,8 @@ def qplex_membership(p: np.ndarray, s: SicPovm, tol: float = 1e-9) -> bool:
     """Whether ``p`` is the SIC distribution of some positive state.
 
     Exact test by reconstruction: true iff the operator rebuilt from ``p``
-    has minimum eigenvalue ``>= -tol``. Assumes ``p`` sums to 1.
+    has minimum eigenvalue ``>= -tol``. Assumes ``p`` sums to 1. Raises
+    ValueError, rather than answering, for non-finite entries.
     """
     rho = prob_to_state(p, s)
     rho = (rho + rho.conj().T) / 2

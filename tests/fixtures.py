@@ -5,8 +5,12 @@ Everything here was derived by hand or with an independent construction
 agreement is evidence and not circular reasoning.
 """
 
+import json
+import pathlib
+
 import numpy as np
 
+DATA = pathlib.Path(__file__).parent / "data"
 S3 = np.sqrt(3.0)
 
 # Frame matrix of the reference qubit SIC and its exact inverse.
@@ -159,12 +163,26 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_kraus_channel(
-    rng: np.random.Generator, dim: int, n_ops: int
+    rng: np.random.Generator, dim: int, n_ops: int, dim_out: int | None = None
 ) -> list[np.ndarray]:
-    """Random CPTP channel via a Haar isometry cut into Kraus blocks."""
-    big = rng.standard_normal((dim * n_ops, dim)) + 1j * rng.standard_normal(
-        (dim * n_ops, dim)
+    """Random CPTP channel via a Haar isometry cut into Kraus blocks.
+
+    The blocks are ``dim_out x dim`` (square by default); the isometry needs
+    ``dim_out * n_ops >= dim``.
+    """
+    dim_out = dim if dim_out is None else dim_out
+    big = rng.standard_normal((dim_out * n_ops, dim)) + 1j * rng.standard_normal(
+        (dim_out * n_ops, dim)
     )
     q, r = np.linalg.qr(big)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return [q[k * dim : (k + 1) * dim, :] for k in range(n_ops)]
+    return [q[k * dim_out : (k + 1) * dim_out, :] for k in range(n_ops)]
+
+
+def qutrit_sic():
+    """The qutrit SIC of ``tests/data/fiducial_d3.json``."""
+    from sicprob.serialize import load_fiducial
+    from sicprob.sic import from_fiducial
+
+    with open(DATA / "fiducial_d3.json", encoding="utf-8") as fh:
+        return from_fiducial(load_fiducial(json.load(fh)))

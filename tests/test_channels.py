@@ -20,24 +20,29 @@ from fixtures import (
     S_GATE_QUBIT,
     S_REDUCTION_QUBIT,
     S_TRANSPOSE_QUBIT,
+    qutrit_sic,
     random_density,
     random_kraus_channel,
 )
 
 SIC = builtin_qubit()
+SIC3 = qutrit_sic()
 
 
-def elementwise_channel_matrix(kraus, sic):
-    """Independent trace-formula route to the channel matrix."""
-    d = sic.dim
-    n = d * d
+def elementwise_channel_matrix(kraus, sic_in, sic_out):
+    """Independent trace-formula route to the channel matrix.
+
+    ``S_ij = [(d_in + 1) Tr(P_i Phi(P_j)) - Tr(P_i Phi(I))] / d_out`` with
+    ``P_i`` from the output frame and ``P_j`` from the input frame.
+    """
+    d_in, d_out = sic_in.dim, sic_out.dim
     phi_eye = sum(a @ a.conj().T for a in kraus)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            phi_pj = sum(a @ sic.projectors[j] @ a.conj().T for a in kraus)
-            s_ij = np.trace(sic.projectors[i] @ phi_pj).real / d
-            out[i, j] = (d + 1) * s_ij - np.trace(sic.projectors[i] @ phi_eye).real / d
+    out = np.zeros((d_out * d_out, d_in * d_in))
+    for i in range(d_out * d_out):
+        for j in range(d_in * d_in):
+            phi_pj = sum(a @ sic_in.projectors[j] @ a.conj().T for a in kraus)
+            s_ij = np.trace(sic_out.projectors[i] @ phi_pj).real / d_out
+            out[i, j] = (d_in + 1) * s_ij - np.trace(sic_out.projectors[i] @ phi_eye).real / d_out
     return out
 
 
@@ -68,13 +73,75 @@ def test_kraus_matches_elementwise_route():
     for _ in range(10):
         kraus = random_kraus_channel(rng, 2, 3)
         fast = kraus_to_pstoch(kraus, SIC, SIC)
-        slow = elementwise_channel_matrix(kraus, SIC)
+        slow = elementwise_channel_matrix(kraus, SIC, SIC)
         assert np.abs(fast - slow).max() < 1e-11
+
+
+@pytest.mark.parametrize(
+    "d_in, d_out, n_ops",
+    [(3, 3, 1), (3, 3, 4), (2, 3, 2), (3, 2, 2), (3, 2, 5)],
+    ids=["qutrit-unitary", "qutrit", "2to3", "3to2", "3to2-many"],
+)
+def test_kraus_matches_elementwise_route_qutrit_and_rectangular(d_in, d_out, n_ops):
+    sics = {2: SIC, 3: SIC3}
+    sic_in, sic_out = sics[d_in], sics[d_out]
+    rng = np.random.default_rng(60 + 10 * d_in + d_out + n_ops)
+    for _ in range(4):
+        kraus = random_kraus_channel(rng, d_in, n_ops, d_out)
+        fast = kraus_to_pstoch(kraus, sic_in, sic_out)
+        assert fast.shape == (d_out * d_out, d_in * d_in)
+        assert np.abs(fast - elementwise_channel_matrix(kraus, sic_in, sic_out)).max() < 1e-11
+        # the per-operator Kronecker sum that the batched contraction replaces
+        amat = sum(np.kron(a, a.conj()) for a in kraus)
+        kron = (sic_out.kinv @ amat @ sic_in.kmat).real
+        assert np.abs(fast - kron).max() < 1e-13
+        assert np.abs(fast.sum(axis=0) - 1.0).max() < 1e-12
+        # an array of stacked operators is accepted as well as a list
+        assert np.array_equal(kraus_to_pstoch(np.stack(kraus), sic_in, sic_out), fast)
 
 
 def test_kraus_requires_trace_preservation():
     with pytest.raises(PhysicalityError):
         kraus_to_pstoch([np.diag([0.5, 0.5]).astype(complex)], SIC, SIC)
+
+
+def test_kraus_rejects_malformed_sets():
+    with pytest.raises(ValueError, match="empty"):
+        kraus_to_pstoch([], SIC, SIC)
+    with pytest.raises(ValueError, match="inconsistent"):
+        kraus_to_pstoch([np.eye(2), np.eye(3)], SIC, SIC)
+    with pytest.raises(ValueError, match="does not match"):
+        kraus_to_pstoch([np.eye(3)], SIC, SIC)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_conversions_reject_nonfinite(bad):
+    # Each used to return a NaN matrix: NaN fails every tolerance test.
+    kraus = [np.eye(2, dtype=complex)]
+    kraus[0][0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite") as exc:
+        kraus_to_pstoch(kraus, SIC, SIC)
+    assert not isinstance(exc.value, PhysicalityError)
+    s = np.eye(4)
+    s[1, 2] = abs(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        pstoch_to_choi(s, SIC, SIC)
+    choi = pstoch_to_choi(np.eye(4), SIC, SIC)
+    choi[0, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        choi_to_pstoch(choi, SIC, SIC)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_is_cptp_reports_nonfinite_without_raising(bad):
+    s = np.eye(4)
+    s[2, 1] = bad
+    with np.errstate(invalid="ignore"):  # inf * 0 in the frame change
+        ok, rep = is_cptp(s, SIC, SIC)
+    assert ok is False
+    assert not rep.ok
+    assert not np.isfinite(rep.min_choi_eig)
+    assert not np.isfinite(rep.herm_residual)
 
 
 def test_channel_columns_sum_to_one():

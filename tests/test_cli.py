@@ -104,6 +104,28 @@ def test_convert_rejects_nonquantum_probs(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("kind", ["kraus", "density", "probs"])
+def test_convert_nonfinite_input_is_input_error(tmp_path, capsys, kind):
+    # json writes the NaN as a bare NaN token and reads it back. Before the
+    # finite checks the Kraus and density files exited 0 with an all-NaN
+    # result, and the probabilities exited 3 (physicality).
+    if kind == "kraus":
+        obj = dump_kraus_channel([np.diag([1.0, 1j])], 2, 2)
+        obj["kraus"][0][3][1] = float("nan")
+    elif kind == "density":
+        obj = dump_density(np.eye(2) / 2, 2)
+        obj["matrix"][0][0] = float("nan")
+    else:
+        obj = dump_prob_vector(np.full(4, 0.25), 2)
+        obj["probs"][1] = float("nan")
+    path = write(tmp_path, f"{kind}.json", obj)
+    assert "NaN" in open(path, encoding="utf-8").read()
+    code, out, err = run_main(capsys, ["convert", path])
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "non-finite" in err
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_main(capsys, ["convert", "/nonexistent/nope.json"])
     assert code == 2

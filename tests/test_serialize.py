@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from sicprob.serialize import (
     load_prob_vector,
     load_pstoch,
 )
-from sicprob.sic import builtin_qubit
+from sicprob.sic import Fiducial, builtin_qubit
 from sicprob.tomography import CountsRecord
 
 from fixtures import random_density, random_kraus_channel
@@ -163,3 +165,123 @@ def test_schema_errors_on_malformed_values():
         )  # bad shots
     with pytest.raises(ValueError):
         load_pstoch({"dim_in": 2, "dim_out": 2, "matrix": "nope"})
+
+
+def old_encode_complex_matrix(m):
+    """The per-entry encoder the whole-array one replaced: the reference."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).reshape(-1)]
+
+
+def old_real_rows(m):
+    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+
+
+# Entries that must survive a JSON round trip bit for bit: signed zeros,
+# subnormals and the extremes of the float range.
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+def _edge_matrix(rng, shape, complex_=True):
+    m = rng.standard_normal(shape)
+    if complex_:
+        m = m + 1j * rng.standard_normal(shape)
+    flat = m.reshape(-1)
+    for k, x in enumerate(EDGE_VALUES):
+        if complex_:
+            flat[k % flat.size] = complex(x, EDGE_VALUES[-1 - k])
+        else:
+            flat[k % flat.size] = x
+    return m
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _via_json(obj):
+    return json.loads(json.dumps(obj))
+
+
+def test_round_trips_are_bit_exact():
+    rng = np.random.default_rng(125)
+    for d in (2, 3):
+        rho = _edge_matrix(rng, (d, d))
+        d_back, back = load_density(_via_json(dump_density(rho, d)))
+        assert d_back == d
+        assert np.array_equal(back, rho) and _same_bits(back, rho)
+        kraus = [_edge_matrix(rng, (d, 2)) for _ in range(3)]
+        _, _, ops = load_kraus_channel(_via_json(dump_kraus_channel(kraus, 2, d)))
+        assert len(ops) == 3
+        for a, b in zip(kraus, ops):
+            assert np.array_equal(b, a) and _same_bits(b, a)
+        s = _edge_matrix(rng, (d * d, 4), complex_=False)
+        _, _, s_back = load_pstoch(_via_json(dump_pstoch(s, 2, d)))
+        assert np.array_equal(s_back, s) and _same_bits(s_back, s)
+        p = _edge_matrix(rng, (d * d,), complex_=False)
+        _, p_back = load_prob_vector(_via_json(dump_prob_vector(p, d)))
+        assert np.array_equal(p_back, p) and _same_bits(p_back, p)
+
+
+def test_encoders_match_the_per_entry_formula():
+    rng = np.random.default_rng(126)
+    m = _edge_matrix(rng, (3, 3))
+    for arr in (m, m.T, m.real, m[::2, ::2], np.array(-0.0 + 0j)):
+        ref = old_encode_complex_matrix(arr)
+        got = encode_complex_matrix(arr)
+        assert got == ref
+        assert json.dumps(got) == json.dumps(ref)  # tells -0.0 from 0.0
+    s = _edge_matrix(rng, (9, 4), complex_=False)
+    assert json.dumps(dump_pstoch(s, 2, 3)["matrix"]) == json.dumps(old_real_rows(s))
+    assert json.dumps(dump_pstoch(s.T, 3, 2)["matrix"]) == json.dumps(old_real_rows(s.T))
+    p = s[:, 0]
+    assert json.dumps(dump_prob_vector(p, 3)["probs"]) == json.dumps([float(x) for x in p])
+    rep = MarkovReport(delta_nmark=0.25, s_mark=s[:4], log_residual=0.0)
+    assert json.dumps(dump_markov_report(rep)["s_mark"]) == json.dumps(old_real_rows(s[:4]))
+    lam = s[0]
+    q = dump_quant_report(DeltaQuantReport(value=0.5, lam=lam, restarts_agreeing=1))
+    assert json.dumps(q["argmax_lambda"]) == json.dumps([float(x) for x in lam])
+    for value in (q["argmax_lambda"][0], dump_pstoch(s, 2, 3)["matrix"][0][0]):
+        assert type(value) is float
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[1.0, 0.0, 5.0], [1.0], [], None, {"re": 1.0, "im": 0.0}, {0: 1.0, 1: 0.0}, "10"],
+    ids=["three", "one", "empty", "none", "dict", "int-keyed-dict", "string"],
+)
+def test_decoder_rejects_entries_that_are_not_pairs(entry):
+    data = [[1.0, 0.0], entry, [0.0, 0.0], [1.0, 0.0]]
+    with pytest.raises(ValueError, match=r"'m' entries must be \[re, im\] pairs"):
+        decode_complex_matrix(data, 2, 2, "m")
+    # the same entry in every place, so that the list is not ragged
+    with pytest.raises(ValueError, match=r"entries must be \[re, im\] pairs"):
+        decode_complex_matrix([entry] * 4, 2, 2, "m")
+    obj = dump_kraus_channel([np.eye(2)], 2, 2)
+    obj["kraus"][0][1] = entry
+    with pytest.raises(ValueError, match=r"'kraus\[0\]' entries must be \[re, im\] pairs"):
+        load_kraus_channel(obj)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_decoders_reject_nonfinite(bad):
+    obj = _via_json(dump_density(np.eye(2) / 2, 2))
+    obj["matrix"][3][1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        load_density(json.loads(json.dumps(obj)))  # JSON spells these NaN, Infinity
+    obj = dump_kraus_channel([np.eye(2), np.zeros((2, 2))], 2, 2)
+    obj["kraus"][1][0][0] = bad
+    with pytest.raises(ValueError, match=r"'kraus\[1\]' contains non-finite"):
+        load_kraus_channel(obj)
+    obj = dump_prob_vector(np.full(4, 0.25), 2)
+    obj["probs"][2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        load_prob_vector(obj)
+    obj = dump_pstoch(np.eye(4), 2, 2)
+    obj["matrix"][1][2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        load_pstoch(obj)
+    amp = dump_fiducial(Fiducial(2, np.array([1.0, 0.0])))
+    amp["amplitudes"][1][0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        load_fiducial(amp)

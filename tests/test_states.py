@@ -73,6 +73,24 @@ def test_state_to_prob_validates():
         state_to_prob(np.diag([1.5, -0.5]).astype(complex), SIC)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_conversions_reject_nonfinite(bad):
+    # NaN fails every tolerance test, so these used to answer with NaN (or,
+    # for qplex_membership, a verdict) instead of an input error.
+    rho = np.eye(2, dtype=complex) / 2
+    rho[0, 0] = bad
+    for call in (lambda: state_to_prob(rho, SIC), lambda: validate_density(rho, 2)):
+        with pytest.raises(ValueError, match="non-finite") as exc:
+            call()
+        assert not isinstance(exc.value, PhysicalityError)
+    p = np.full(4, 0.25)
+    p[3] = bad
+    for fn in (prob_to_state, qplex_membership):
+        with pytest.raises(ValueError, match="non-finite") as exc:
+            fn(p, SIC)
+        assert not isinstance(exc.value, PhysicalityError)
+
+
 def test_prob_to_state_never_validates():
     # inverse map is linear and total: non-quantum vectors go through
     p = np.array([1.0, 0.0, 0.0, 0.0])
