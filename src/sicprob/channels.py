@@ -261,8 +261,9 @@ def project_cptp(
     preservation by the substitution ``A_k -> A_k T^{-1/2}`` with
     ``T = sum_k A_k^H A_k``, so the returned matrix is exactly CPTP.
 
-    Raises OptimizerError if no restart converges or the trace operator of
-    the best run is close to singular.
+    Raises ValueError for a matrix of the wrong shape or with non-finite
+    entries, and OptimizerError if no restart converges or the trace
+    operator of the best run is close to singular.
     """
     from .dynamics import basis_sigma
 
@@ -274,6 +275,7 @@ def project_cptp(
     s_raw = np.asarray(s_raw, dtype=float)
     if s_raw.shape != (n, n):
         raise ValueError(f"matrix shape {s_raw.shape}, expected ({n}, {n})")
+    _require_finite(s_raw, "channel matrix")
     sig = basis_sigma(d)
     theta = _theta_stack(sic_in, sic_out, sig)
     eye = np.eye(d)
@@ -348,18 +350,28 @@ def project_cptp(
 
 
 def compose(s2: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """Channel composition: ``s2`` after ``s1``."""
+    """Channel composition: ``s2`` after ``s1``.
+
+    Raises ValueError on mismatched shapes or non-finite entries.
+    """
     s2 = np.asarray(s2, dtype=float)
     s1 = np.asarray(s1, dtype=float)
     if s2.shape[1] != s1.shape[0]:
         raise ValueError(f"inner dimensions do not match: {s2.shape} @ {s1.shape}")
+    _require_finite(s2, "channel matrix")
+    _require_finite(s1, "channel matrix")
     return s2 @ s1
 
 
 def apply(s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Act on a probability vector."""
+    """Act on a probability vector.
+
+    Raises ValueError on mismatched shapes or non-finite entries.
+    """
     s = np.asarray(s, dtype=float)
     p = np.asarray(p, dtype=float)
     if s.shape[1] != p.shape[0]:
         raise ValueError(f"dimension mismatch: matrix {s.shape}, vector {p.shape}")
+    _require_finite(s, "channel matrix")
+    _require_finite(p, "probability vector")
     return s @ p

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._optim import OptConfig, multistart_minimize
-from .errors import NumericalDomainError, PhysicalityError
+from .errors import NumericalDomainError, PhysicalityError, _require_finite
 from .linalg import frobenius_dist, mat_exp
 from .sic import SicPovm
 
@@ -359,7 +359,8 @@ def project_mark(
     ``dtilde`` over complex coefficient matrices ``V``, multistart
     quasi-Newton with an analytic gradient, warm started from a linear
     pre-fit. Returns the projected matrix and the Frobenius norm of the
-    residual.
+    residual. Raises ValueError for a matrix of the wrong shape or with
+    non-finite entries.
     """
     opt = opt or OptConfig()
     d = s.dim
@@ -368,6 +369,7 @@ def project_mark(
     dtilde = np.asarray(dtilde, dtype=float)
     if dtilde.shape != (n, n):
         raise ValueError(f"matrix shape {dtilde.shape}, expected ({n}, {n})")
+    _require_finite(dtilde, "matrix")
     sig = basis_sigma(d)[:-1]
     omega = omega_basis(s, sig)
     v0 = _mark_warm_start(dtilde, omega, m)

@@ -26,7 +26,7 @@ from .dynamics import (
     project_mark,
     project_unit,
 )
-from .errors import OptimizerError, _require_finite
+from .errors import _require_finite
 from .linalg import frobenius_dist, mat_exp, mat_log_real
 from .sic import SicPovm
 from .states import MeasurementMap
@@ -60,12 +60,6 @@ def classicality_check(g: Generator | np.ndarray) -> bool:
     return bool(off.min() >= -1e-12)
 
 
-def _off_diagonal_negativity(off: np.ndarray) -> float:
-    """``negativity`` of a finite square matrix that may be overwritten."""
-    np.fill_diagonal(off, 0.0)
-    return float(max(0.0, -off.min()))
-
-
 def negativity(m: np.ndarray) -> float:
     """Magnitude of the most negative off-diagonal entry (0 if none).
 
@@ -75,7 +69,9 @@ def negativity(m: np.ndarray) -> float:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     _require_finite(m, "matrix")
-    return _off_diagonal_negativity(m.copy())
+    off = m.copy()
+    np.fill_diagonal(off, 0.0)
+    return float(max(0.0, -off.min()))
 
 
 @dataclass(frozen=True)
@@ -87,66 +83,40 @@ class DeltaQuantReport:
     restarts_agreeing: int
 
 
-def _frame_objective(lmat: np.ndarray, basis: np.ndarray):
-    """``lam -> negativity(U L U^T)`` with ``U = mat_exp(sum_i lam_i H_i)``.
-
-    The search builds every matrix itself from inputs the caller has
-    checked, so each evaluation calls ``expm`` and the negativity
-    arithmetic directly, without per-call validation.
-    """
-    import scipy.linalg
-
-    expm = scipy.linalg.expm
-
-    def fun(lam: np.ndarray) -> float:
-        u = expm(np.einsum("i,iab->ab", lam, basis))
-        return _off_diagonal_negativity(u @ lmat @ u.T)
-
-    return fun
-
-
-def _coordinate_polish(
-    fun, lam: np.ndarray, step0: float = 0.05, step_min: float = 1e-7
-) -> tuple[np.ndarray, float]:
-    """Shrinking-step coordinate descent; cleans up the simplex optimum."""
-    lam = lam.copy()
-    best = fun(lam)
-    step = step0
-    while step > step_min:
-        improved = False
-        for i in range(lam.size):
-            for sign in (1.0, -1.0):
-                trial = lam.copy()
-                trial[i] += sign * step
-                val = fun(trial)
-                if val < best - 1e-15:
-                    lam, best = trial, val
-                    improved = True
-        if not improved:
-            step /= 2
-    return lam, best
-
-
 def delta_quant_detail(
     g: Generator | np.ndarray, b: np.ndarray, opt: OptConfig | None = None
 ) -> DeltaQuantReport:
     """Irremovable negativity of a generator, with search diagnostics.
 
     Minimizes ``negativity(U L U^T)`` over the frame rotations
-    ``U = exp(sum_i lam_i H_i)``. The first restart starts at the identity
-    (so the result never exceeds the raw negativity); the rest start from
-    uniform random ``lam`` in ``[-pi, pi]`` per coordinate, with search
-    bounds ``[-4 pi, 4 pi]``. Each simplex run is followed by a
-    coordinate-descent polish. The reported value is an upper bound of the
-    true infimum; zero means the negativity is a frame artifact.
+    ``U = exp(sum_i lam_i H_i)``, built in batches without a matrix
+    ``expm``: Rodrigues' formula for the qubit, a scaled Taylor series for
+    larger frames (the steps live in ``_framesearch``):
 
-    Raises ValueError when ``g`` is not a square ``n x n`` matrix, ``b`` is
-    not a stack of ``n x n`` matrices, or either has non-finite entries.
+    1. A screen scores 1024 frames in one batched call: ``lam = 0`` (so
+       the result never exceeds the raw negativity) and points drawn,
+       seeded by ``opt.seed``, uniformly from a ball that holds every
+       frame.
+    2. The best 256 take two steps of a batched compass descent, and the
+       best 64 of those ten more, so that the frames rank by the depth of
+       their basin.
+    3. The best ``max(opt.restarts, 8)`` descended frames that lie apart
+       are refined one by one with SLSQP on the epigraph form ``min t``
+       subject to ``t + (U L U^T)_ij >= 0`` (``i != j``), ``t >= 0``, which
+       converges to the minimax frame itself, in at most ``opt.max_iter``
+       iterations. A refined start never ends above its descended value.
+
+    ``restarts_agreeing`` counts the refined starts that end within 1e-3 of
+    the best. The reported value is an upper bound of the true infimum;
+    zero means the negativity is a frame artifact.
+
+    ``b`` must hold real antisymmetric generators with zero column sums,
+    as ``basis_hunit`` returns them. Raises ValueError when ``g`` is not a
+    square ``n x n`` matrix, ``b`` is not such a stack of ``n x n``
+    matrices, or either has non-finite entries.
     """
-    import scipy.optimize
-
     lmat = as_matrix(g)
-    basis = np.asarray(b)
+    basis = np.asarray(b, dtype=float)
     square = lmat.ndim == 2 and lmat.shape[0] == lmat.shape[1]
     if not square or basis.ndim != 3 or basis.shape[1:] != lmat.shape:
         raise ValueError(
@@ -155,31 +125,21 @@ def delta_quant_detail(
         )
     _require_finite(lmat, "generator")
     _require_finite(basis, "basis")
-    opt = opt or OptConfig(restarts=32)
-    nlam = basis.shape[0]
-    fun = _frame_objective(lmat, basis)
-
-    results: list[tuple[float, np.ndarray]] = []
-    for k in range(opt.restarts):
-        if k == 0:
-            lam0 = np.zeros(nlam)
-        else:
-            rng = np.random.default_rng(opt.seed + k)
-            lam0 = rng.uniform(-np.pi, np.pi, nlam)
-        res = scipy.optimize.minimize(
-            fun,
-            lam0,
-            method="Nelder-Mead",
-            bounds=scipy.optimize.Bounds(-4 * np.pi, 4 * np.pi),
-            options={"maxiter": opt.max_iter, "xatol": 1e-6, "fatol": 1e-10},
+    scale = max(1.0, float(np.abs(basis).max()))
+    asym = float(np.abs(basis + basis.transpose(0, 2, 1)).max())
+    col_sums = float(np.abs(basis.sum(axis=1)).max())
+    if max(asym, col_sums) > 1e-10 * scale:
+        raise ValueError(
+            "basis must hold antisymmetric generators with zero column sums "
+            f"(deviation {max(asym, col_sums):.3e})"
         )
-        results.append((float(res.fun), res.x))
-    if not any(np.isfinite(f) for f, _ in results):
-        raise OptimizerError(f"nonclassicality search failed in {opt.restarts} restarts")
-    best_f, best_lam = min(results, key=lambda r: r[0])
-    best_lam, best_f = _coordinate_polish(fun, best_lam)
-    agreeing = sum(1 for f, _ in results if f <= best_f + 1e-3)
-    return DeltaQuantReport(value=best_f, lam=best_lam, restarts_agreeing=agreeing)
+    opt = opt or OptConfig(restarts=32)
+    # imported here, not at the top, so that the module is compiled only
+    # when a search runs and `import sicprob` stays cheap
+    from ._framesearch import search
+
+    value, lam, agreeing = search(lmat, basis, opt)
+    return DeltaQuantReport(value=value, lam=lam, restarts_agreeing=agreeing)
 
 
 def delta_quant(
@@ -189,9 +149,16 @@ def delta_quant(
     return delta_quant_detail(g, b, opt).value
 
 
-def _markov_parts(s_matrix: np.ndarray, s: SicPovm, opt: OptConfig | None):
+def _markov_parts(
+    s_matrix: np.ndarray, s: SicPovm, opt: OptConfig | None, basis: np.ndarray | None = None
+):
+    """Log, unitary part, dissipative fit, its residual and ``S_mark``.
+
+    ``basis`` is ``basis_hunit(s)`` when the caller has it already.
+    """
     lmat = mat_log_real(np.asarray(s_matrix, dtype=float))
-    basis = basis_hunit(s)
+    if basis is None:
+        basis = basis_hunit(s)
     h_part = project_unit(lmat, basis)
     d_proj, residual = project_mark(lmat - h_part, s, opt)
     s_mark = mat_exp(h_part + d_proj)
@@ -269,8 +236,8 @@ def analyze_evolution(
     the data, and for an exactly Markovian matrix it equals the log.
     """
     s_matrix = np.asarray(s_matrix, dtype=float)
-    lmat, h_part, d_proj, residual, s_mark = _markov_parts(s_matrix, s, opt)
     basis = basis_hunit(s)
+    lmat, h_part, d_proj, residual, s_mark = _markov_parts(s_matrix, s, opt, basis)
     quant = delta_quant_detail(h_part + d_proj, basis, opt)
     log_resid = math.sqrt(frobenius_dist(mat_exp(lmat), s_matrix))
     value = math.sqrt(frobenius_dist(s_matrix, s_mark)) / (s.dim * s.dim)

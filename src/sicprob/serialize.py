@@ -141,8 +141,21 @@ def load_kraus_channel(obj: dict) -> tuple[int, int, list[np.ndarray]]:
     kraus = obj.get("kraus")
     if not isinstance(kraus, list) or not kraus:
         raise ValueError("'kraus' must be a non-empty list of matrices")
-    ops = [decode_complex_matrix(a, d_out, d_in, f"kraus[{k}]") for k, a in enumerate(kraus)]
-    return d_in, d_out, ops
+    # the whole set as one array with one finite check; the per-operator
+    # decoder runs only when that fails, to name the malformed operator
+    try:
+        pairs = np.array(kraus, dtype=float)
+    except (TypeError, ValueError):
+        pairs = None
+    if (
+        pairs is None
+        or pairs.shape != (len(kraus), d_out * d_in, 2)
+        or not all(isinstance(a, list) for a in kraus)
+        or np.count_nonzero(np.isfinite(pairs)) != pairs.size
+    ):
+        ops = [decode_complex_matrix(a, d_out, d_in, f"kraus[{k}]") for k, a in enumerate(kraus)]
+        return d_in, d_out, ops
+    return d_in, d_out, list(pairs.view(complex).reshape(len(kraus), d_out, d_in))
 
 
 def dump_pstoch(s: np.ndarray, dim_in: int, dim_out: int) -> dict:

@@ -127,8 +127,8 @@ def measurement_map(effects: np.ndarray, s: SicPovm) -> MeasurementMap:
     Parameters
     ----------
     effects : array_like
-        Shape ``(m, d, d)``, the POVM elements. Each must be Hermitian and
-        PSD, and together they must resolve the identity.
+        Shape ``(m, d, d)``, the POVM elements. Each must be finite,
+        Hermitian and PSD, and together they must resolve the identity.
     s : SicPovm
         The reference SIC.
     """
@@ -136,6 +136,7 @@ def measurement_map(effects: np.ndarray, s: SicPovm) -> MeasurementMap:
     d = s.dim
     if effects.ndim != 3 or effects.shape[1:] != (d, d):
         raise ValueError(f"effects must have shape (m, {d}, {d}), got {effects.shape}")
+    _require_finite(effects, "effects")
     for k, e in enumerate(effects):
         if np.abs(e - e.conj().T).max() > 1e-9:
             raise PhysicalityError(f"effect {k} is not Hermitian")

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._optim import OptConfig
 from .channels import is_cptp, project_cptp
-from .errors import NumericalDomainError
+from .errors import NumericalDomainError, _require_finite
 from .linalg import frobenius_dist
 from .measures import EvolutionAnalysis, analyze_evolution
 from .sic import SicPovm, fingerprint
@@ -114,12 +114,14 @@ def reconstruct_raw(freqs: np.ndarray, s: SicPovm) -> np.ndarray:
 
     Solves ``P s_row(j) = freqs[:, j]`` for every output index against the
     known input overlap matrix, then replaces the last row by one minus
-    the rest so every column sums to 1 exactly.
+    the rest so every column sums to 1 exactly. Raises ValueError for a
+    table of the wrong shape or with non-finite entries.
     """
     freqs = np.asarray(freqs, dtype=float)
     n = s.dim * s.dim
     if freqs.shape != (n, n):
         raise ValueError(f"frequency table shape {freqs.shape}, expected ({n}, {n})")
+    _require_finite(freqs, "frequency table")
     p = input_prob_matrix(s)
     cond = np.linalg.cond(p)
     if not np.isfinite(cond) or cond > 1e12:

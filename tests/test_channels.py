@@ -132,6 +132,38 @@ def test_conversions_reject_nonfinite(bad):
         choi_to_pstoch(choi, SIC, SIC)
 
 
+# apply and compose used to return NaN; project_cptp raised a raw
+# LinAlgError, which the CLI maps to exit 4 instead of 2.
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_apply_rejects_nonfinite(bad):
+    p = np.full(4, 0.25)
+    s = np.eye(4)
+    s[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        apply(s, p)
+    p[3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        apply(np.eye(4), p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_compose_rejects_nonfinite(bad):
+    s = np.eye(4)
+    s[0, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        compose(s, np.eye(4))
+    with pytest.raises(ValueError, match="non-finite"):
+        compose(np.eye(4), s)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_project_cptp_rejects_nonfinite(bad):
+    s = np.full((4, 4), bad)
+    with pytest.raises(ValueError, match="non-finite") as exc:
+        project_cptp(s, SIC, SIC, OptConfig(restarts=1))
+    assert not isinstance(exc.value, OptimizerError)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_is_cptp_reports_nonfinite_without_raising(bad):
     s = np.eye(4)

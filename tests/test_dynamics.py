@@ -34,6 +34,13 @@ from fixtures import (
 
 SIC = builtin_qubit()
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_project_mark_rejects_nonfinite(bad):
+    # used to raise a raw LinAlgError from the warm start
+    with pytest.raises(ValueError, match="non-finite"):
+        project_mark(np.full((4, 4), bad), SIC, OptConfig(restarts=1))
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
 SZ = np.diag([1.0, -1.0]).astype(complex)

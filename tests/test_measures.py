@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sicprob._framesearch import _frame_rotations, _rotated_off_diagonals
 from sicprob._optim import OptConfig
 from sicprob.dynamics import (
     GkslSpec,
@@ -15,7 +16,6 @@ from sicprob.dynamics import (
 from sicprob.linalg import frobenius_dist, mat_exp
 from sicprob.measures import (
     ExperimentScheme,
-    _frame_objective,
     analyze_evolution,
     classicality_check,
     delta_nmark,
@@ -104,20 +104,60 @@ def test_delta_quant_rejects_mismatched_basis():
         delta_quant_detail(H3_QUBIT, basis_hunit(load_d3()), OptConfig(restarts=1))
 
 
+def test_delta_quant_rejects_basis_that_does_not_generate_rotations():
+    b = basis_hunit(SIC)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        delta_quant_detail(H3_QUBIT, np.abs(b), OptConfig(restarts=1))
+    shifted = b.copy()
+    shifted[0] += 0.1  # antisymmetric no more
+    with pytest.raises(ValueError, match="antisymmetric"):
+        delta_quant_detail(H3_QUBIT, shifted, OptConfig(restarts=1))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
-def test_frame_objective_is_negativity_of_rotated_generator(dim):
-    # the search objective skips the public functions' checks; its values
-    # must still be exactly theirs
+def test_batched_rotations_match_expm(dim):
+    # the search builds its frames in batches (Rodrigues for the qubit, a
+    # scaled Taylor series otherwise); frames and scores must be those of
+    # the public expm path
     sic = SIC if dim == 2 else load_d3()
     rng = np.random.default_rng(120 + dim)
     noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     lmat = lgen_from_gksl(GkslSpec(dim, random_hermitian(rng, dim), (0.3 * noise,)), sic).matrix
     b = basis_hunit(sic)
-    fun = _frame_objective(lmat, b)
-    for _ in range(4):
-        lam = rng.uniform(-np.pi, np.pi, b.shape[0])
-        u = mat_exp(np.einsum("i,iab->ab", lam, b))
-        assert fun(lam) == negativity(u @ lmat @ u.T)
+    lam = rng.uniform(-np.pi, np.pi, (6, b.shape[0]))
+    lam[0] = 0.0
+    lam[1] = 1e-9 * lam[1]
+    rotations = _frame_rotations(lam, b)
+    off = _rotated_off_diagonals(lmat, b, lam)
+    for k in range(len(lam)):
+        u = mat_exp(np.einsum("i,iab->ab", lam[k], b))
+        assert np.abs(rotations[k] - u).max() <= 1e-12
+        assert abs(max(0.0, -off[k].min()) - negativity(u @ lmat @ u.T)) <= 1e-12
+
+
+def test_delta_quant_no_worse_than_recorded_search():
+    # 48 generators of the benchmark's tomo_d2_r2 workload (seed 0), with the
+    # values the restarted Nelder-Mead search returned for them; the
+    # screen-and-refine search may only match or beat each one
+    with open(DATA / "delta_quant_tomo_d2_r2_seed0.json", encoding="utf-8") as fh:
+        record = json.load(fh)
+    opt = OptConfig(**record["opt"])
+    b = basis_hunit(SIC)
+    for g, old in zip(record["generators"], record["delta_quant"], strict=True):
+        assert delta_quant(np.array(g), b, opt) <= old + 1e-6
+
+
+def test_delta_quant_refines_at_least_eight_starts():
+    b = basis_hunit(SIC)
+    g = hgen_from_hamiltonian(SZ, SIC) + lgen_from_gksl(
+        GkslSpec(2, np.zeros((2, 2)), (0.4 * SZ + 0.2j * np.eye(2)[::-1],)), SIC
+    ).matrix
+    # every refined start of this generator reaches the same minimum
+    for restarts, refined in ((1, 8), (12, 12)):
+        rep = delta_quant_detail(g, b, OptConfig(restarts=restarts, seed=3))
+        assert rep.restarts_agreeing == refined
+        u = mat_exp(np.einsum("i,iab->ab", rep.lam, b))
+        assert rep.value == pytest.approx(negativity(u @ g @ u.T), abs=1e-12)
 
 
 def test_delta_quant_zero_for_classical_generator():
@@ -202,6 +242,25 @@ def test_analyze_evolution_bundle():
     assert analysis.quant.value >= 0
     # parts always recombine into the log
     assert np.abs(analysis.h_part + analysis.d_part - analysis.log).max() < 1e-12
+
+
+def test_analyze_evolution_builds_the_basis_once(monkeypatch):
+    import sicprob.measures as measures
+
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return basis_hunit(s)
+
+    opt = OptConfig(restarts=2, seed=20)
+    expected = analyze_evolution(S_DRIVE, SIC, opt)
+    monkeypatch.setattr(measures, "basis_hunit", counted)
+    analysis = analyze_evolution(S_DRIVE, SIC, opt)
+    assert len(calls) == 1
+    assert analysis.quant.value == expected.quant.value
+    assert np.array_equal(analysis.h_part, expected.h_part)
+    assert np.array_equal(analysis.mark.s_mark, expected.mark.s_mark)
 
 
 def test_experiment_compose_identity_chain():

@@ -1,9 +1,11 @@
-"""Property tests of the conversion layer at d=2 and d=3.
+"""Property tests of the conversion layer and of ``delta_quant``.
 
-Random Kraus sets and states are built from arrays that hypothesis draws,
-so a failure shrinks to a small counterexample. Every check is an
-invariant a docstring promises: unit column sums, the CPTP verdict on a
-Kraus channel, and the Choi and state round trips.
+Random Kraus sets, states and generators are built from arrays that
+hypothesis draws, so a failure shrinks to a small counterexample. Every
+check is an invariant a docstring promises: unit column sums, the CPTP
+verdict on a Kraus channel, the Choi and state round trips at d=2 and d=3,
+and for qubit GKSL generators ``0 <= delta_quant <= negativity`` and the
+invariance of ``delta_quant`` under frame rotations.
 """
 
 import numpy as np
@@ -14,7 +16,11 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from sicprob._optim import OptConfig  # noqa: E402
 from sicprob.channels import choi_to_pstoch, is_cptp, kraus_to_pstoch, pstoch_to_choi  # noqa: E402
+from sicprob.dynamics import GkslSpec, basis_hunit, lgen_from_gksl  # noqa: E402
+from sicprob.linalg import mat_exp  # noqa: E402
+from sicprob.measures import delta_quant, negativity  # noqa: E402
 from sicprob.sic import builtin_qubit  # noqa: E402
 from sicprob.states import prob_to_state, qplex_membership, state_to_prob  # noqa: E402
 
@@ -25,6 +31,9 @@ SICS = {2: builtin_qubit(), 3: qutrit_sic()}
 # derandomized so that every run draws the same examples, like the seeded
 # tests around it.
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# Each delta_quant example runs a full frame search (~20 ms).
+SEARCH_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+QUBIT_BASIS = basis_hunit(SICS[2])
 
 entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -97,3 +106,27 @@ def test_state_round_trip(case):
     assert p.min() >= -1e-12
     assert qplex_membership(p, sic)
     assert np.abs(prob_to_state(p, sic) - rho).max() < 1e-10
+
+
+@st.composite
+def qubit_generators(draw):
+    """A qubit GKSL generator: drawn Hamiltonian and one drawn noise operator."""
+    a = draw(arrays(float, (4, 2, 2), elements=entries))
+    h = a[0] + 1j * a[1]
+    return lgen_from_gksl(GkslSpec(2, (h + h.conj().T) / 2, (a[2] + 1j * a[3],)), SICS[2]).matrix
+
+
+@SEARCH_PROPERTY
+@given(qubit_generators())
+def test_delta_quant_between_zero_and_negativity(lmat):
+    value = delta_quant(lmat, QUBIT_BASIS, OptConfig(restarts=1))
+    assert 0.0 <= value <= negativity(lmat)
+
+
+@SEARCH_PROPERTY
+@given(qubit_generators(), arrays(float, 3, elements=st.floats(-3.0, 3.0)))
+def test_delta_quant_is_frame_invariant(lmat, lam):
+    u = mat_exp(np.einsum("i,iab->ab", lam, QUBIT_BASIS))
+    opt = OptConfig(restarts=1)
+    rotated = delta_quant(u @ lmat @ u.T, QUBIT_BASIS, opt)
+    assert abs(delta_quant(lmat, QUBIT_BASIS, opt) - rotated) <= 1e-6

@@ -68,6 +68,35 @@ def test_kraus_round_trip():
         assert np.abs(a - b).max() < 1e-15
 
 
+def test_kraus_set_decodes_as_one_array(monkeypatch):
+    # a well-formed set is read in one conversion with one finite check;
+    # the per-operator decoder is left for naming a malformed operator
+    import sicprob.serialize as serialize
+
+    rng = np.random.default_rng(124)
+    kraus = random_kraus_channel(rng, 3, 4, dim_out=2)
+    obj = json.loads(json.dumps(dump_kraus_channel(kraus, 3, 2)))
+    per_op = [decode_complex_matrix(a, 2, 3, "k") for a in obj["kraus"]]
+
+    def refuse(*args):
+        raise AssertionError("decoded one operator at a time")
+
+    monkeypatch.setattr(serialize, "decode_complex_matrix", refuse)
+    d_in, d_out, ops = serialize.load_kraus_channel(obj)
+    assert (d_in, d_out) == (3, 2)
+    assert len(ops) == 4
+    for a, b in zip(per_op, ops, strict=True):
+        assert a.shape == b.shape == (2, 3)
+        assert a.tobytes() == b.tobytes()
+
+
+def test_kraus_operators_must_be_lists():
+    obj = dump_kraus_channel([np.eye(2)], 2, 2)
+    obj["kraus"] = [np.array(obj["kraus"][0])]
+    with pytest.raises(ValueError, match=r"'kraus\[0\]' must be a flat list"):
+        load_kraus_channel(obj)
+
+
 def test_pstoch_round_trip():
     rng = np.random.default_rng(124)
     s = rng.standard_normal((4, 4))

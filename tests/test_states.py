@@ -25,6 +25,17 @@ from fixtures import (
 SIC = builtin_qubit()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_measurement_map_rejects_nonfinite(bad):
+    # NaN fails every Hermiticity and positivity test silently; this used to
+    # return a NaN response map
+    effects = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    effects[0, 0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite") as exc:
+        measurement_map(effects, SIC)
+    assert not isinstance(exc.value, PhysicalityError)
+
+
 def test_state_round_trip():
     rng = np.random.default_rng(41)
     for _ in range(50):

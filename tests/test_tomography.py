@@ -23,6 +23,15 @@ from fixtures import H3_QUBIT, random_kraus_channel
 SIC = builtin_qubit()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reconstruct_raw_rejects_nonfinite(bad):
+    # used to pass NaN straight through the linear inversion
+    freqs = np.full((4, 4), 0.25)
+    freqs[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        reconstruct_raw(freqs, SIC)
+
+
 def counts_from_freqs(freqs, shots):
     counts = np.rint(freqs * shots).astype(int)
     # fix rounding so every row sums exactly to shots
