@@ -11,13 +11,16 @@ valid time-independent dissipative parts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ._optim import OptConfig, multistart_minimize
-from .errors import NumericalDomainError, PhysicalityError, _require_finite
+from ._optim import OptConfig
+from .channels import _theta_stack
+from .errors import NumericalDomainError, OptimizerError, PhysicalityError, _require_finite
 from .linalg import frobenius_dist, mat_exp
 from .sic import SicPovm
 
@@ -35,7 +38,6 @@ __all__ = [
     "omega_basis",
     "dgen_from_v",
     "project_mark",
-    "is_time_independent_markovian",
 ]
 
 
@@ -70,14 +72,27 @@ def as_matrix(g: Generator | np.ndarray) -> np.ndarray:
     return np.asarray(g, dtype=float)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def basis_sigma(d: int) -> np.ndarray:
     """Hermitian operator basis with ``Tr(sigma_i sigma_j) = 2 delta_ij``.
 
     Generalized Gell-Mann ordering: symmetric pair matrices
     (lexicographic), antisymmetric pair matrices (lexicographic), diagonal
     matrices in ascending size, and finally ``sqrt(2/d) I``. For ``d = 2``
-    this is exactly ``(sigma_x, sigma_y, sigma_z, I)``.
+    this is exactly ``(sigma_x, sigma_y, sigma_z, I)``. Built once per
+    ``d``; the returned array is read-only.
     """
+    # a plain function over the cache, so that tools that wrap the public
+    # functions of the package (tracers, monkeypatching tests) still see it
+    return _sigma_stack(d)
+
+
+@functools.lru_cache(maxsize=None)
+def _sigma_stack(d: int) -> np.ndarray:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     mats = []
@@ -101,7 +116,7 @@ def basis_sigma(d: int) -> np.ndarray:
         m[l, l] = -l * coeff
         mats.append(m)
     mats.append(math.sqrt(2.0 / d) * np.eye(d, dtype=complex))
-    return np.stack(mats)
+    return _read_only(np.stack(mats))
 
 
 def _check_hermitian(h: np.ndarray, what: str = "Hamiltonian") -> np.ndarray:
@@ -141,16 +156,18 @@ def basis_hunit(s: SicPovm) -> np.ndarray:
     """The ``d^2 - 1`` antisymmetric matrices spanning unitary generators.
 
     Built by feeding each traceless basis element through the Hamiltonian
-    construction; normalized so ``Tr(H_i H_j^T) = 4 d delta_ij``.
+    construction; normalized so ``Tr(H_i H_j^T) = 4 d delta_ij``. Built
+    once per SIC; the returned array is read-only.
     """
-    d = s.dim
-    sig = basis_sigma(d)
-    eye = np.eye(d)
+    return _sic_ops(s).hunit
+
+
+def _hunit_stack(s: SicPovm, sig: np.ndarray) -> np.ndarray:
+    eye = np.eye(s.dim)
     out = []
-    for i in range(d * d - 1):
-        lam = -1j * (np.kron(sig[i], eye) - np.kron(eye, sig[i].conj()))
-        hi = _conjugated_superop(lam, s)
-        out.append(hi.real)
+    for sig_i in sig:
+        lam = -1j * (np.kron(sig_i, eye) - np.kron(eye, sig_i.conj()))
+        out.append(_conjugated_superop(lam, s).real)
     return np.stack(out)
 
 
@@ -295,21 +312,26 @@ def omega_basis(s: SicPovm, b: np.ndarray) -> np.ndarray:
     any PSD combination ``sum_ij P_ij Omega_ij`` is a valid dissipative
     part. Each element has zero column sums. ``b`` must hold the traceless
     operator-basis elements (the identity direction belongs to the
-    Hamiltonian sector, not here).
+    Hamiltonian sector, not here). For ``b = basis_sigma(d)[:-1]`` this is
+    the read-only family cached per SIC.
     """
+    sig = np.asarray(b)
+    ops = _sic_ops(s)
+    if np.array_equal(sig, ops.sigma):
+        return ops.omega
+    return _omega_stack(s, sig)
+
+
+def _omega_stack(s: SicPovm, sig: np.ndarray) -> np.ndarray:
     d = s.dim
     n = d * d
-    sig = np.asarray(b)
-    m = sig.shape[0]
-    eye = np.eye(d)
-    omega = np.empty((m, m, n, n), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            mid = np.kron(sig[i], sig[j].conj())
-            mid -= 0.5 * np.kron(sig[j] @ sig[i], eye)
-            mid -= 0.5 * np.kron(eye, (sig[i] @ sig[j]).conj())
-            omega[i, j] = _conjugated_superop(mid, s)
-    return omega
+    kinv4 = s.kinv.reshape(n, d, d)
+    kmat4 = s.kmat.reshape(d, d, n)
+    prod = np.einsum("iab,jbc->ijac", sig, sig)  # sigma_i sigma_j
+    # K^-1 (sigma_j sigma_i (x) I) K and K^-1 (I (x) (sigma_i sigma_j).conj()) K
+    left = np.einsum("xab,ijac,cby->jixy", kinv4, prod, kmat4, optimize=True)
+    right = np.einsum("xab,ijbe,aey->ijxy", kinv4, prod.conj(), kmat4, optimize=True)
+    return _theta_stack(s, s, sig) - 0.5 * (left + right)
 
 
 def dgen_from_v(vmat: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -323,31 +345,42 @@ def dgen_from_v(vmat: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return d.real
 
 
-def _mark_objective_factory(dtilde: np.ndarray, omega: np.ndarray, m: int):
-    def fun_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        v = (x[: m * m] + 1j * x[m * m :]).reshape(m, m)
-        p = v @ v.conj().T
-        model = np.einsum("ij,ijab->ab", p, omega).real
-        resid = model - dtilde
-        f = float(np.sum(resid**2))
-        w = np.einsum("ab,ijab->ij", 2.0 * resid, omega)
-        a = (w.T + w.conj()) / 2
-        av = a @ v
-        return f, np.concatenate([2 * av.real.ravel(), 2 * av.imag.ravel()])
-
-    return fun_grad
 
 
-def _mark_warm_start(dtilde: np.ndarray, omega: np.ndarray, m: int) -> np.ndarray:
-    """Least-squares pre-fit of the coefficient matrix, then its PSD factor."""
-    n2 = dtilde.size
-    bmat = omega.reshape(m * m, n2).T
-    stacked = np.concatenate([bmat.real, -bmat.imag], axis=1)
-    sol, *_ = np.linalg.lstsq(stacked, dtilde.reshape(n2), rcond=None)
-    p = (sol[: m * m] + 1j * sol[m * m :]).reshape(m, m)
-    p = (p + p.conj().T) / 2
-    vals, vecs = np.linalg.eigh(p)
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+# ADMM penalty, over-relaxation and stopping tolerance of project_mark
+_ADMM_RHO = 4.0
+_ADMM_RELAX = 1.6
+_ADMM_TOL = 1e-13
+
+
+class _SicOps(NamedTuple):
+    """Operators of one SIC that the projections reuse, all read-only."""
+
+    sigma: np.ndarray  # traceless part of basis_sigma(d), shape (m, d, d)
+    hunit: np.ndarray  # basis_hunit(s)
+    omega: np.ndarray  # omega_basis(s, sigma), shape (m, m, n, n)
+    amat: np.ndarray  # Omega as a real map: P.view(float) -> sum_ij P_ij Omega_ij
+    solve: np.ndarray  # (A^T A + rho I)^-1, the linear solve of each ADMM step
+    theta: np.ndarray  # project_cptp's channel basis over the whole basis_sigma(d)
+
+
+@functools.lru_cache(maxsize=16)
+def _sic_ops(s: SicPovm) -> _SicOps:
+    """Build the operators of ``s`` once; ``SicPovm`` hashes by identity."""
+    d = s.dim
+    n = d * d
+    # not basis_sigma: building the cache calls no public function, so
+    # per-function call counts do not depend on whether the cache is warm
+    full = _sigma_stack(d)
+    sig = full[:-1]
+    m = sig.shape[0]
+    omega = _omega_stack(s, sig)
+    flat = omega.reshape(m * m, n * n).T
+    # interleaved (Re P_ij, Im P_ij) columns: a complex P viewed as floats
+    amat = np.stack([flat.real, -flat.imag], axis=-1).reshape(n * n, 2 * m * m)
+    solve = np.linalg.inv(amat.T @ amat + _ADMM_RHO * np.eye(2 * m * m))
+    arrays = (_hunit_stack(s, sig), omega, amat, solve, _theta_stack(s, s, full))
+    return _SicOps(sig, *map(_read_only, arrays))
 
 
 def project_mark(
@@ -355,46 +388,55 @@ def project_mark(
 ) -> tuple[np.ndarray, float]:
     """Closest valid dissipative part to an arbitrary real matrix.
 
-    Minimizes the Frobenius distance of ``sum_ij [V V^H]_ij Omega_ij`` to
-    ``dtilde`` over complex coefficient matrices ``V``, multistart
-    quasi-Newton with an analytic gradient, warm started from a linear
-    pre-fit. Returns the projected matrix and the Frobenius norm of the
-    residual. Raises ValueError for a matrix of the wrong shape or with
-    non-finite entries.
+    Minimizes the Frobenius distance of ``sum_ij P_ij Omega_ij`` to
+    ``dtilde`` over Hermitian PSD coefficient matrices ``P``. That is a
+    convex problem, solved exactly by ADMM (Boyd et al., Found. Trends
+    Mach. Learn. 3, 1 (2011)) with the split ``P = Z``, ``Z`` PSD: the
+    ``P``-step is one linear solve with a matrix built once per SIC, the
+    ``Z``-step clips the eigenvalues of the Hermitian part at zero, and the
+    step is over-relaxed by 1.6 (Boyd et al., section 3.4.3). The
+    iteration stops when the largest entries of the primal and the dual
+    residual are both at most ``1e-13 max(1, max|dtilde|)``. Returns the
+    projected matrix, built from the PSD iterate ``Z`` so that it is a
+    valid dissipative part, and the Frobenius norm of the residual.
+
+    Of ``opt`` only ``max_iter`` is read: it caps the ADMM iterations.
+    Raises ValueError for a matrix of the wrong shape or with non-finite
+    entries, and OptimizerError if the iteration has not converged within
+    ``opt.max_iter`` steps.
     """
     opt = opt or OptConfig()
-    d = s.dim
-    n = d * d
-    m = n - 1
+    n = s.dim * s.dim
     dtilde = np.asarray(dtilde, dtype=float)
     if dtilde.shape != (n, n):
         raise ValueError(f"matrix shape {dtilde.shape}, expected ({n}, {n})")
     _require_finite(dtilde, "matrix")
-    sig = basis_sigma(d)[:-1]
-    omega = omega_basis(s, sig)
-    v0 = _mark_warm_start(dtilde, omega, m)
-    x0 = np.concatenate([v0.real.ravel(), v0.imag.ravel()])
-    result = multistart_minimize(_mark_objective_factory(dtilde, omega, m), x0, opt)
-    v = (result.x[: m * m] + 1j * result.x[m * m :]).reshape(m, m)
-    dproj = np.einsum("ij,ijab->ab", v @ v.conj().T, omega).real
-    residual = math.sqrt(frobenius_dist(dproj, dtilde))
-    return dproj, residual
+    ops = _sic_ops(s)
+    dproj = (ops.amat @ _mark_coefficients(dtilde, ops, opt.max_iter)).reshape(n, n)
+    return dproj, math.sqrt(frobenius_dist(dproj, dtilde))
 
 
-def is_time_independent_markovian(
-    g: Generator | np.ndarray,
-    s: SicPovm,
-    tol: float = 1e-6,
-    opt: OptConfig | None = None,
-) -> tuple[bool, float]:
-    """Whether a generator splits into Hamiltonian plus valid dissipator.
-
-    Computes ``r = ||P_unit(L) + P_mark(L - P_unit(L)) - L||_F`` and
-    compares against ``tol``. ``r`` is dominated by the distance of the
-    non-unitary remainder from the dissipative cone.
-    """
-    lmat = as_matrix(g)
-    basis = basis_hunit(s)
-    h_part = project_unit(lmat, basis)
-    _, residual = project_mark(lmat - h_part, s, opt)
-    return bool(residual <= tol), residual
+def _mark_coefficients(dtilde: np.ndarray, ops: _SicOps, max_iter: int) -> np.ndarray:
+    """PSD iterate ``Z`` of ``project_mark``'s ADMM, as ``Z.view(float)``."""
+    m = len(ops.sigma)
+    q = ops.solve @ (ops.amat.T @ dtilde.reshape(-1))
+    step = _ADMM_RHO * ops.solve
+    tol = _ADMM_TOL * max(1.0, float(np.abs(dtilde).max()))
+    z = np.zeros_like(q)
+    u = np.zeros_like(q)
+    for _ in range(max_iter):
+        p = q + step @ (z - u)
+        w = _ADMM_RELAX * p + (1.0 - _ADMM_RELAX) * z + u
+        h = w.view(complex).reshape(m, m)
+        vals, vecs = np.linalg.eigh(h + h.conj().T)
+        z_new = ((vecs * np.maximum(0.5 * vals, 0.0)) @ vecs.conj().T).view(float).ravel()
+        primal = float(np.abs(p - z_new).max())
+        dual = _ADMM_RHO * float(np.abs(z_new - z).max())
+        u = w - z_new
+        z = z_new
+        if primal <= tol and dual <= tol:
+            return z
+    raise OptimizerError(
+        f"Markov projection did not converge in {max_iter} ADMM iterations "
+        f"(primal residual {primal:.1e}, dual residual {dual:.1e})"
+    )

@@ -41,7 +41,6 @@ __all__ = [
     "negativity",
     "delta_quant",
     "delta_quant_detail",
-    "markov_projection",
     "delta_nmark",
     "markov_report",
     "analyze_evolution",
@@ -154,7 +153,11 @@ def _markov_parts(
 ):
     """Log, unitary part, dissipative fit, its residual and ``S_mark``.
 
-    ``basis`` is ``basis_hunit(s)`` when the caller has it already.
+    The one Markov path: takes the real principal log of the matrix, keeps
+    its unitary part, projects the remainder onto valid dissipative parts
+    and re-exponentiates. ``basis`` is ``basis_hunit(s)`` when the caller
+    has it already. Raises LogBranchError (with the offending eigenvalues)
+    when the log does not exist on the principal branch.
     """
     lmat = mat_log_real(np.asarray(s_matrix, dtype=float))
     if basis is None:
@@ -165,24 +168,9 @@ def _markov_parts(
     return lmat, h_part, d_proj, residual, s_mark
 
 
-def markov_projection(
-    s_matrix: np.ndarray, s: SicPovm, opt: OptConfig | None = None
-) -> np.ndarray:
-    """Closest evolution generated by a time-independent master equation.
-
-    Takes the real principal log of the matrix, keeps its unitary part,
-    projects the remainder onto valid dissipative parts, and
-    re-exponentiates. Raises LogBranchError (with the offending
-    eigenvalues) when the log does not exist on the principal branch.
-    """
-    return _markov_parts(s_matrix, s, opt)[4]
-
-
 def delta_nmark(s_matrix: np.ndarray, s: SicPovm, opt: OptConfig | None = None) -> float:
     """Non-Markovianity: ``sqrt(frobenius_dist(S, S_mark)) / d^2``."""
-    s_matrix = np.asarray(s_matrix, dtype=float)
-    s_mark = markov_projection(s_matrix, s, opt)
-    return math.sqrt(frobenius_dist(s_matrix, s_mark)) / (s.dim * s.dim)
+    return markov_report(s_matrix, s, opt).delta_nmark
 
 
 @dataclass(frozen=True)
@@ -194,20 +182,28 @@ class MarkovReport:
     log_residual: float
 
 
+def _markov_report(s_matrix: np.ndarray, lmat: np.ndarray, s_mark: np.ndarray) -> MarkovReport:
+    """``delta_nmark = sqrt(frobenius_dist(S, S_mark)) / d^2`` and the log residual."""
+    value = math.sqrt(frobenius_dist(s_matrix, s_mark)) / len(s_matrix)
+    log_resid = math.sqrt(frobenius_dist(mat_exp(lmat), s_matrix))
+    return MarkovReport(delta_nmark=value, s_mark=s_mark, log_residual=log_resid)
+
+
 def markov_report(
     s_matrix: np.ndarray, s: SicPovm, opt: OptConfig | None = None
 ) -> MarkovReport:
     """Markovian projection bundled with its quality diagnostics.
 
+    ``s_mark`` is the closest evolution generated by a time-independent
+    master equation: the exponential of the unitary part of the log plus
+    the projection of its remainder onto valid dissipative parts.
     ``log_residual`` is the reconstruction error ``||exp(log S) - S||_F``
     of the real principal logarithm, i.e. how trustworthy the generator
     extraction itself was.
     """
     s_matrix = np.asarray(s_matrix, dtype=float)
     lmat, _, _, _, s_mark = _markov_parts(s_matrix, s, opt)
-    log_resid = math.sqrt(frobenius_dist(mat_exp(lmat), s_matrix))
-    value = math.sqrt(frobenius_dist(s_matrix, s_mark)) / (s.dim * s.dim)
-    return MarkovReport(delta_nmark=value, s_mark=s_mark, log_residual=log_resid)
+    return _markov_report(s_matrix, lmat, s_mark)
 
 
 @dataclass(frozen=True)
@@ -238,16 +234,12 @@ def analyze_evolution(
     s_matrix = np.asarray(s_matrix, dtype=float)
     basis = basis_hunit(s)
     lmat, h_part, d_proj, residual, s_mark = _markov_parts(s_matrix, s, opt, basis)
-    quant = delta_quant_detail(h_part + d_proj, basis, opt)
-    log_resid = math.sqrt(frobenius_dist(mat_exp(lmat), s_matrix))
-    value = math.sqrt(frobenius_dist(s_matrix, s_mark)) / (s.dim * s.dim)
-    mark = MarkovReport(delta_nmark=value, s_mark=s_mark, log_residual=log_resid)
     return EvolutionAnalysis(
         log=lmat,
         h_part=h_part,
         d_part=lmat - h_part,
-        quant=quant,
-        mark=mark,
+        quant=delta_quant_detail(h_part + d_proj, basis, opt),
+        mark=_markov_report(s_matrix, lmat, s_mark),
         markov_residual=residual,
     )
 

@@ -193,23 +193,72 @@ def rk4_density_evolution(spec, rho0, t, steps):
     return rho
 
 
-def test_criterion_7_gksl_dynamics_equivalence():
-    rng = np.random.default_rng(77)
-    for _ in range(50):
+def rk4_density_evolution_stacked(h, noise, rho0, t, steps):
+    """``rk4_density_evolution`` for a stack of cases at once.
+
+    ``h`` and ``rho0`` are ``(cases, d, d)``; ``noise`` is
+    ``(cases, ops, d, d)``, padded with zero operators.
+    """
+    vdv = np.einsum("ckba,ckbe->cae", noise.conj(), noise)
+
+    def action(x):
+        jump = np.einsum("ckab,cbe,ckfe->caf", noise, x, noise.conj())
+        return -1j * (h @ x - x @ h) + jump - 0.5 * (vdv @ x + x @ vdv)
+
+    dt = t / steps
+    rho = rho0.astype(complex)
+    for _ in range(steps):
+        k1 = action(rho)
+        k2 = action(rho + 0.5 * dt * k1)
+        k3 = action(rho + 0.5 * dt * k2)
+        k4 = action(rho + dt * k3)
+        rho = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return rho
+
+
+def gksl_cases(rng, count):
+    """Specs and initial states of random qubit master equations."""
+    specs, rhos = [], []
+    for _ in range(count):
         h = random_hermitian(rng, 2)
         n_ops = int(rng.integers(1, 3))
         noise = tuple(
             0.5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
             for _ in range(n_ops)
         )
-        spec = GkslSpec(2, h, noise)
-        g = lgen_from_gksl(spec, SIC)
-        rho0 = random_density(rng, 2)
-        p0 = state_to_prob(rho0, SIC)
-        for t in (0.1, 1.0):
-            p_vec = mat_exp(g.matrix * t) @ p0
-            rho_t = rk4_density_evolution(spec, rho0, t, steps=max(200, int(2000 * t)))
-            assert np.abs(p_vec - state_to_prob(rho_t, SIC)).max() < 1e-6
+        specs.append(GkslSpec(2, h, noise))
+        rhos.append(random_density(rng, 2))
+    return specs, rhos
+
+
+def stack_specs(specs):
+    padded = np.zeros((len(specs), 2, 2, 2), dtype=complex)
+    for c, spec in enumerate(specs):
+        padded[c, : len(spec.noise_ops)] = spec.noise_ops
+    return np.array([spec.hamiltonian for spec in specs]), padded
+
+
+def test_stacked_rk4_matches_scalar_rk4():
+    # the first two cases of criterion 7
+    specs, rhos = gksl_cases(np.random.default_rng(77), 2)
+    h, noise = stack_specs(specs)
+    for t in (0.1, 1.0):
+        steps = max(200, int(2000 * t))
+        stacked = rk4_density_evolution_stacked(h, noise, np.array(rhos), t, steps)
+        for spec, rho0, rho_t in zip(specs, rhos, stacked):
+            assert np.abs(rk4_density_evolution(spec, rho0, t, steps) - rho_t).max() < 1e-12
+
+
+def test_criterion_7_gksl_dynamics_equivalence():
+    specs, rhos = gksl_cases(np.random.default_rng(77), 50)
+    h, noise = stack_specs(specs)
+    for t in (0.1, 1.0):
+        rho_t = rk4_density_evolution_stacked(
+            h, noise, np.array(rhos), t, steps=max(200, int(2000 * t))
+        )
+        for spec, rho0, rho in zip(specs, rhos, rho_t):
+            p_vec = mat_exp(lgen_from_gksl(spec, SIC).matrix * t) @ state_to_prob(rho0, SIC)
+            assert np.abs(p_vec - state_to_prob(rho, SIC)).max() < 1e-6
     print("PASS criterion-7: generator flow matches integrated master equation")
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from sicprob.sic import builtin_qubit
 from sicprob.states import state_to_prob
 
 from fixtures import (
+    DATA,
     S_GATE_QUBIT,
     S_REDUCTION_QUBIT,
     S_TRANSPOSE_QUBIT,
@@ -276,6 +279,21 @@ def test_unital_channel_is_pseudobistochastic():
         s = kraus_to_pstoch([u], SIC, SIC)
         assert np.abs(s.sum(axis=0) - 1.0).max() < 1e-12
         assert np.abs(s.sum(axis=1) - 1.0).max() < 1e-12
+
+
+def test_project_cptp_matches_recorded_outputs():
+    # project_cptp's arithmetic is pinned bit for bit: raw reconstructions
+    # of 1024-shot counts of random qubit channels, and the outputs that
+    # were recorded before its channel basis moved into the per-SIC cache.
+    # The inputs are C-ordered arrays, as np.array makes them here: the last
+    # bits of the output depend on the memory layout of the input.
+    with open(DATA / "project_cptp_restarts2.json", encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
+    assert len(cases) == 6
+    for case in cases:
+        opt = OptConfig(restarts=2, seed=case["seed"])
+        out = project_cptp(np.array(case["s_raw"]), SIC, SIC, opt)
+        assert np.array_equal(out, np.array(case["s_cptp"]))
 
 
 def test_project_cptp_fixed_point():

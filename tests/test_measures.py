@@ -22,7 +22,6 @@ from sicprob.measures import (
     delta_quant,
     delta_quant_detail,
     experiment_compose,
-    markov_projection,
     markov_report,
     negativity,
 )
@@ -203,14 +202,15 @@ def test_markov_projection_fixed_point():
     v = 0.5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     g = lgen_from_gksl(GkslSpec(2, h, (v,)), SIC)
     s_matrix = mat_exp(g.matrix * 0.7)
-    s_mark = markov_projection(s_matrix, SIC, OptConfig(restarts=4, seed=15))
-    assert np.abs(s_mark - s_matrix).max() < 1e-6
-    assert delta_nmark(s_matrix, SIC, OptConfig(restarts=4, seed=15)) < 1e-8
+    rep = markov_report(s_matrix, SIC, OptConfig(restarts=4, seed=15))
+    assert np.abs(rep.s_mark - s_matrix).max() < 1e-6
+    assert rep.delta_nmark < 1e-8
+    assert delta_nmark(s_matrix, SIC, OptConfig(restarts=4, seed=15)) == rep.delta_nmark
 
 
 def test_markov_projection_identity():
-    s_mark = markov_projection(np.eye(4), SIC, OptConfig(restarts=2, seed=16))
-    assert np.abs(s_mark - np.eye(4)).max() < 1e-8
+    rep = markov_report(np.eye(4), SIC, OptConfig(restarts=2, seed=16))
+    assert np.abs(rep.s_mark - np.eye(4)).max() < 1e-8
 
 
 def test_delta_nmark_scales_frobenius_distance():

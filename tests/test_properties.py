@@ -5,7 +5,9 @@ hypothesis draws, so a failure shrinks to a small counterexample. Every
 check is an invariant a docstring promises: unit column sums, the CPTP
 verdict on a Kraus channel, the Choi and state round trips at d=2 and d=3,
 and for qubit GKSL generators ``0 <= delta_quant <= negativity`` and the
-invariance of ``delta_quant`` under frame rotations.
+invariance of ``delta_quant`` under frame rotations, and for the qubit
+``project_mark`` its idempotence and the KKT certificate of its convex
+problem.
 """
 
 import numpy as np
@@ -18,7 +20,14 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from sicprob._optim import OptConfig  # noqa: E402
 from sicprob.channels import choi_to_pstoch, is_cptp, kraus_to_pstoch, pstoch_to_choi  # noqa: E402
-from sicprob.dynamics import GkslSpec, basis_hunit, lgen_from_gksl  # noqa: E402
+from sicprob.dynamics import (  # noqa: E402
+    GkslSpec,
+    _mark_coefficients,
+    _sic_ops,
+    basis_hunit,
+    lgen_from_gksl,
+    project_mark,
+)
 from sicprob.linalg import mat_exp  # noqa: E402
 from sicprob.measures import delta_quant, negativity  # noqa: E402
 from sicprob.sic import builtin_qubit  # noqa: E402
@@ -130,3 +139,29 @@ def test_delta_quant_is_frame_invariant(lmat, lam):
     opt = OptConfig(restarts=1)
     rotated = delta_quant(u @ lmat @ u.T, QUBIT_BASIS, opt)
     assert abs(delta_quant(lmat, QUBIT_BASIS, opt) - rotated) <= 1e-6
+
+
+@PROPERTY
+@given(arrays(float, (4, 4), elements=entries))
+def test_project_mark_is_idempotent(dtilde):
+    dproj, _ = project_mark(dtilde, SICS[2])
+    again, resid = project_mark(dproj, SICS[2])
+    assert resid <= 1e-10
+    assert np.abs(again - dproj).max() <= 1e-10
+
+
+@PROPERTY
+@given(arrays(float, (4, 4), elements=entries))
+def test_project_mark_satisfies_kkt(dtilde):
+    # min ||A p - dtilde||^2 / 2 over PSD P: P >= 0, gradient G >= 0, <P, G> = 0
+    ops = _sic_ops(SICS[2])
+    z = _mark_coefficients(dtilde, ops, 500)
+    grad = ops.amat.T @ (ops.amat @ z - dtilde.ravel())
+
+    def hermitian(x):
+        mat = x.view(complex).reshape(3, 3)
+        return (mat + mat.conj().T) / 2
+
+    assert np.linalg.eigvalsh(hermitian(z)).min() >= -1e-12
+    assert np.linalg.eigvalsh(hermitian(grad)).min() >= -1e-9
+    assert abs(float(z @ grad)) <= 1e-9
