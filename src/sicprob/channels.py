@@ -265,7 +265,7 @@ def project_cptp(
     entries, and OptimizerError if no restart converges or the trace
     operator of the best run is close to singular.
     """
-    from .dynamics import _sic_ops, basis_sigma
+    from .dynamics import basis_sigma
 
     if sic_in.dim != sic_out.dim:
         raise ValueError("projection requires equal input and output dimensions")
@@ -277,10 +277,7 @@ def project_cptp(
         raise ValueError(f"matrix shape {s_raw.shape}, expected ({n}, {n})")
     _require_finite(s_raw, "channel matrix")
     sig = basis_sigma(d)
-    if sic_in is sic_out:
-        theta = _sic_ops(sic_in).theta
-    else:
-        theta = _theta_stack(sic_in, sic_out, sig)
+    theta = _theta_stack(sic_in, sic_out, sig)
     eye = np.eye(d)
 
     v_start = _kraus_coeffs_from_choi(_choi(s_raw, sic_in, sic_out), d, sig)

@@ -19,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ._optim import OptConfig
-from .channels import _theta_stack
 from .errors import NumericalDomainError, OptimizerError, PhysicalityError, _require_finite
 from .linalg import frobenius_dist, mat_exp
 from .sic import SicPovm
@@ -312,14 +311,9 @@ def omega_basis(s: SicPovm, b: np.ndarray) -> np.ndarray:
     any PSD combination ``sum_ij P_ij Omega_ij`` is a valid dissipative
     part. Each element has zero column sums. ``b`` must hold the traceless
     operator-basis elements (the identity direction belongs to the
-    Hamiltonian sector, not here). For ``b = basis_sigma(d)[:-1]`` this is
-    the read-only family cached per SIC.
+    Hamiltonian sector, not here).
     """
-    sig = np.asarray(b)
-    ops = _sic_ops(s)
-    if np.array_equal(sig, ops.sigma):
-        return ops.omega
-    return _omega_stack(s, sig)
+    return _omega_stack(s, np.asarray(b))
 
 
 def _omega_stack(s: SicPovm, sig: np.ndarray) -> np.ndarray:
@@ -328,10 +322,12 @@ def _omega_stack(s: SicPovm, sig: np.ndarray) -> np.ndarray:
     kinv4 = s.kinv.reshape(n, d, d)
     kmat4 = s.kmat.reshape(d, d, n)
     prod = np.einsum("iab,jbc->ijac", sig, sig)  # sigma_i sigma_j
-    # K^-1 (sigma_j sigma_i (x) I) K and K^-1 (I (x) (sigma_i sigma_j).conj()) K
+    # K^-1 (sigma_i (x) sigma_j.conj()) K, K^-1 (sigma_j sigma_i (x) I) K
+    # and K^-1 (I (x) (sigma_i sigma_j).conj()) K
+    jump = np.einsum("ace,icf,jeg,fgb->ijab", kinv4, sig, sig.conj(), kmat4, optimize=True)
     left = np.einsum("xab,ijac,cby->jixy", kinv4, prod, kmat4, optimize=True)
     right = np.einsum("xab,ijbe,aey->ijxy", kinv4, prod.conj(), kmat4, optimize=True)
-    return _theta_stack(s, s, sig) - 0.5 * (left + right)
+    return jump - 0.5 * (left + right)
 
 
 def dgen_from_v(vmat: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -343,8 +339,6 @@ def dgen_from_v(vmat: np.ndarray, omega: np.ndarray) -> np.ndarray:
     if imag > 1e-8:
         raise NumericalDomainError(f"dissipator has imaginary residual {imag:.3e}")
     return d.real
-
-
 
 
 # ADMM penalty, over-relaxation and stopping tolerance of project_mark
@@ -361,7 +355,6 @@ class _SicOps(NamedTuple):
     omega: np.ndarray  # omega_basis(s, sigma), shape (m, m, n, n)
     amat: np.ndarray  # Omega as a real map: P.view(float) -> sum_ij P_ij Omega_ij
     solve: np.ndarray  # (A^T A + rho I)^-1, the linear solve of each ADMM step
-    theta: np.ndarray  # project_cptp's channel basis over the whole basis_sigma(d)
 
 
 @functools.lru_cache(maxsize=16)
@@ -371,15 +364,14 @@ def _sic_ops(s: SicPovm) -> _SicOps:
     n = d * d
     # not basis_sigma: building the cache calls no public function, so
     # per-function call counts do not depend on whether the cache is warm
-    full = _sigma_stack(d)
-    sig = full[:-1]
+    sig = _sigma_stack(d)[:-1]
     m = sig.shape[0]
     omega = _omega_stack(s, sig)
     flat = omega.reshape(m * m, n * n).T
     # interleaved (Re P_ij, Im P_ij) columns: a complex P viewed as floats
     amat = np.stack([flat.real, -flat.imag], axis=-1).reshape(n * n, 2 * m * m)
     solve = np.linalg.inv(amat.T @ amat + _ADMM_RHO * np.eye(2 * m * m))
-    arrays = (_hunit_stack(s, sig), omega, amat, solve, _theta_stack(s, s, full))
+    arrays = (_hunit_stack(s, sig), omega, amat, solve)
     return _SicOps(sig, *map(_read_only, arrays))
 
 

@@ -170,7 +170,8 @@ def _markov_parts(
 
 def delta_nmark(s_matrix: np.ndarray, s: SicPovm, opt: OptConfig | None = None) -> float:
     """Non-Markovianity: ``sqrt(frobenius_dist(S, S_mark)) / d^2``."""
-    return markov_report(s_matrix, s, opt).delta_nmark
+    s_matrix = np.asarray(s_matrix, dtype=float)
+    return _nmark_distance(s_matrix, _markov_parts(s_matrix, s, opt)[4])
 
 
 @dataclass(frozen=True)
@@ -182,11 +183,17 @@ class MarkovReport:
     log_residual: float
 
 
+def _nmark_distance(s_matrix: np.ndarray, s_mark: np.ndarray) -> float:
+    """``delta_nmark = sqrt(frobenius_dist(S, S_mark)) / d^2``."""
+    return math.sqrt(frobenius_dist(s_matrix, s_mark)) / len(s_matrix)
+
+
 def _markov_report(s_matrix: np.ndarray, lmat: np.ndarray, s_mark: np.ndarray) -> MarkovReport:
-    """``delta_nmark = sqrt(frobenius_dist(S, S_mark)) / d^2`` and the log residual."""
-    value = math.sqrt(frobenius_dist(s_matrix, s_mark)) / len(s_matrix)
+    """``delta_nmark`` and the reconstruction error of the log."""
     log_resid = math.sqrt(frobenius_dist(mat_exp(lmat), s_matrix))
-    return MarkovReport(delta_nmark=value, s_mark=s_mark, log_residual=log_resid)
+    return MarkovReport(
+        delta_nmark=_nmark_distance(s_matrix, s_mark), s_mark=s_mark, log_residual=log_resid
+    )
 
 
 def markov_report(

@@ -19,6 +19,7 @@ from sicprob.dynamics import (
     project_mark,
     project_unit,
 )
+from sicprob.dynamics import _sic_ops
 from sicprob.errors import OptimizerError, PhysicalityError
 from sicprob.linalg import mat_exp, mat_log_real
 from sicprob.sic import builtin_qubit
@@ -353,7 +354,7 @@ def test_omega_basis_matches_kronecker_loop(d):
     sic = SIC if d == 2 else qutrit_sic()
     sig = basis_sigma(d)[:-1]
     eye = np.eye(d)
-    for b in (sig, sig[::-1]):  # the cached family and a freshly built one
+    for b in (sig, sig[::-1]):  # the Gell-Mann order and another
         om = omega_basis(sic, b)
         for i in range(len(b)):
             for j in range(len(b)):
@@ -427,14 +428,32 @@ def test_project_mark_raises_when_not_converged():
         project_mark(rng.standard_normal((4, 4)), SIC, OptConfig(max_iter=1))
 
 
+def test_project_mark_converges_far_from_the_cone():
+    # qutrit inputs far from valid dissipative parts: reversed GKSL
+    # generators and random matrices of two scales, with the default budget
+    sic = qutrit_sic()
+    rng = np.random.default_rng(100)
+    inputs = []
+    for _ in range(4):
+        h = random_hermitian(rng, 3)
+        vs = tuple(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+        inputs.append(-lgen_from_gksl(GkslSpec(3, h, vs), sic).matrix)
+    inputs += [scale * rng.standard_normal((9, 9)) for scale in (1.0, 1.0, 1e3, 1e3)]
+    for dtilde in inputs:
+        dproj, resid = project_mark(dtilde, sic)
+        norm2 = float(np.sum(dtilde**2))
+        assert resid > 1e-3 * np.sqrt(norm2)
+        # a projection onto a cone leaves a residual orthogonal to its image
+        assert abs(float(np.sum((dtilde - dproj) * dproj))) <= 1e-9 * norm2
+
+
 def test_cached_operator_arrays_are_read_only():
-    cached = (basis_sigma(2), basis_hunit(SIC), omega_basis(SIC, basis_sigma(2)[:-1]))
+    cached = (basis_sigma(2), basis_hunit(SIC), *_sic_ops(SIC))
     for arr in cached:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
     # built once and handed out as the same array
     assert basis_hunit(SIC) is cached[1]
-    assert omega_basis(SIC, basis_sigma(2)[:-1]) is cached[2]
 
 
 def test_is_markovian_on_gksl_generator():
