@@ -1,3 +1,9 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,7 +24,7 @@ from sicprob.tomography import (
     simulate_counts,
 )
 
-from fixtures import H3_QUBIT, random_kraus_channel
+from fixtures import DATA, H3_QUBIT, random_kraus_channel
 
 SIC = builtin_qubit()
 
@@ -236,6 +242,35 @@ def test_run_pipeline_projects_each_matrix_once(monkeypatch):
     assert np.array_equal(raw_dec, cal_dec)
     expected_u = project_cptp(np.linalg.solve(raw_cal, raw_main), SIC, SIC, opt)
     assert np.array_equal(raw_u, expected_u)
+
+
+def test_run_pipeline_matches_recorded_outputs():
+    # The pipeline hands project_cptp the Fortran-ordered arrays that
+    # reconstruct_raw returns, and the last bits of its output depend on
+    # that layout, so the whole pipeline is pinned here, not only the
+    # projection of C-ordered inputs. The cases run in a fresh interpreter
+    # with BLAS on one thread (see pipeline_cases.py).
+    tests = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(tests / "pipeline_cases.py")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)["cases"]
+    with open(DATA / "run_pipeline_restarts2.json", encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
+    assert len(got) == len(cases) == 4
+    for out, rec in zip(got, cases):
+        for key in ("cal_s_cptp", "main_s_cptp", "s_u"):
+            assert np.array_equal(out[key], rec[key])
+        for name in ("analysis_u", "analysis_cal"):
+            an, want = out[name], rec[name]
+            for key in ("log", "h_part", "d_part", "s_mark", "lam"):
+                assert np.array_equal(an[key], want[key])
+            assert an["markov_residual"] == want["markov_residual"]
+            assert an["quant_value"] == want["quant_value"]
 
 
 def test_run_pipeline_rejects_mismatched_counts():
