@@ -15,16 +15,14 @@ class OptConfig:
     uses the unperturbed warm start) and of the SLSQP refinements of the
     ``delta_quant`` frame search (never fewer than 8 there); max_iter :
     iteration cap of every local solve, and of the ADMM iteration of
-    ``project_mark``; grad_tol : projected gradient tolerance of
-    ``project_cptp``'s L-BFGS-B stages; seed : base RNG seed, restart ``k``
-    of ``project_cptp`` uses ``seed + k`` and the frame search seeds its
-    screen with it. ``project_mark`` is an exact convex solve and reads only
-    ``max_iter``.
+    ``project_mark``, an exact convex solve that reads nothing else; seed :
+    base RNG seed, restart ``k`` of ``project_cptp`` uses ``seed + k`` and
+    the frame search seeds its screen with it. Stopping tolerances are
+    constants of the solvers that use them.
     """
 
     restarts: int = 8
     max_iter: int = 500
-    grad_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -32,5 +30,3 @@ class OptConfig:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.grad_tol <= 0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")

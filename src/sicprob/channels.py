@@ -17,7 +17,7 @@ import numpy as np
 
 from ._optim import OptConfig
 from .errors import NumericalDomainError, OptimizerError, PhysicalityError, _require_finite
-from .sic import SicPovm
+from .sic import SicPovm, _to_frame
 
 __all__ = [
     "CptpReport",
@@ -69,11 +69,7 @@ def kraus_to_pstoch(
         )
     # sum_k kron(A_k, conj(A_k)) as one contraction over the stacked set
     amat = np.einsum("mij,mkl->ikjl", ops, ops.conj()).reshape(d_out * d_out, d_in * d_in)
-    s = sic_out.kinv @ amat @ sic_in.kmat
-    imag = float(np.abs(s.imag).max())
-    if imag > 1e-8:
-        raise NumericalDomainError(f"channel matrix has imaginary residual {imag:.3e}")
-    return s.real
+    return _to_frame(amat, sic_out, sic_in, "channel matrix", 1e-8)
 
 
 def _pstoch_from_action(phi, sic: SicPovm) -> np.ndarray:
@@ -106,12 +102,6 @@ def builtin_ptp(name: str, sic: SicPovm) -> np.ndarray:
     raise ValueError(f"unknown builtin map {name!r}; choose 'transposition' or 'reduction'")
 
 
-def _check_column_sums(s: np.ndarray, atol: float = 1e-9) -> None:
-    dev = float(np.abs(s.sum(axis=0) - 1.0).max())
-    if dev > atol:
-        raise ValueError(f"columns do not sum to 1 (max deviation {dev:.3e})")
-
-
 def _choi(s: np.ndarray, sic_in: SicPovm, sic_out: SicPovm) -> np.ndarray:
     """Choi matrix of a channel matrix: ``K_out S K_in^-1 / d_in``, reshuffled.
 
@@ -140,7 +130,9 @@ def pstoch_to_choi(s: np.ndarray, sic_in: SicPovm, sic_out: SicPovm) -> np.ndarr
     if s.shape != (d_out * d_out, d_in * d_in):
         raise ValueError(f"matrix shape {s.shape} does not match SIC dims ({d_out}², {d_in}²)")
     _require_finite(s, "channel matrix")
-    _check_column_sums(s)
+    dev = float(np.abs(s.sum(axis=0) - 1.0).max())
+    if dev > 1e-9:
+        raise ValueError(f"columns do not sum to 1 (max deviation {dev:.3e})")
     rho = _choi(s, sic_in, sic_out)
     herm = float(np.abs(rho - rho.conj().T).max())
     if herm > 1e-9:
@@ -210,20 +202,6 @@ def is_cptp(
     )
 
 
-def _theta_stack(sic_in: SicPovm, sic_out: SicPovm, sig: np.ndarray) -> np.ndarray:
-    """Channel basis elements ``K_out^-1 (sigma_i (x) sigma_j.conj()) K_in``.
-
-    The conjugate on the second factor is what makes ``sum P_ij Theta_ij``
-    with PSD ``P`` exactly the CP channels; without it the Choi state of
-    the expansion is not PSD-equivalent to ``P``.
-    """
-    d = sic_in.dim
-    n = d * d
-    kinv4 = sic_out.kinv.reshape(n, d, d)
-    kmat4 = sic_in.kmat.reshape(d, d, n)
-    return np.einsum("ace,icf,jeg,fgb->ijab", kinv4, sig, sig.conj(), kmat4, optimize=True)
-
-
 def _tp_operator(p: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """``sum_k A_k^H A_k`` expressed through the coefficient Gram matrix."""
     return np.einsum("ji,iab,jbc->ac", p, sig, sig)
@@ -243,6 +221,10 @@ def _kraus_coeffs_from_choi(rho: np.ndarray, d: int, sig: np.ndarray) -> np.ndar
         v0[:, col] = np.einsum("iab,ba->i", sig, a) / 2
         col += 1
     return v0
+
+
+# projected gradient tolerance of project_cptp's L-BFGS-B stages
+_GRAD_TOL = 1e-8
 
 
 def project_cptp(
@@ -265,7 +247,7 @@ def project_cptp(
     entries, and OptimizerError if no restart converges or the trace
     operator of the best run is close to singular.
     """
-    from .dynamics import basis_sigma
+    from .dynamics import _theta_stack, basis_sigma
 
     if sic_in.dim != sic_out.dim:
         raise ValueError("projection requires equal input and output dimensions")
@@ -283,22 +265,19 @@ def project_cptp(
     v_start = _kraus_coeffs_from_choi(_choi(s_raw, sic_in, sic_out), d, sig)
     x_start = np.concatenate([v_start.real.ravel(), v_start.imag.ravel()])
 
-    def make_objective(mu: float):
-        def fun_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-            v = (x[: n * n] + 1j * x[n * n :]).reshape(n, n)
-            p = v @ v.conj().T
-            s_model = np.einsum("ij,ijab->ab", p, theta).real
-            resid = s_model - s_raw
-            t_dev = _tp_operator(p, sig) - eye
-            f = float(np.sum(resid**2)) + mu * float(np.sum(np.abs(t_dev) ** 2))
-            w = np.einsum("ab,ijab->ij", 2.0 * resid, theta)
-            w += 2.0 * mu * np.einsum("ab,ibc,jca->ji", t_dev, sig, sig)
-            a = (w.T + w.conj()) / 2
-            av = a @ v
-            grad = np.concatenate([2 * av.real.ravel(), 2 * av.imag.ravel()])
-            return f, grad
-
-        return fun_grad
+    def fun_grad(x: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
+        v = (x[: n * n] + 1j * x[n * n :]).reshape(n, n)
+        p = v @ v.conj().T
+        s_model = np.einsum("ij,ijab->ab", p, theta).real
+        resid = s_model - s_raw
+        t_dev = _tp_operator(p, sig) - eye
+        f = float(np.sum(resid**2)) + mu * float(np.sum(np.abs(t_dev) ** 2))
+        w = np.einsum("ab,ijab->ij", 2.0 * resid, theta)
+        w += 2.0 * mu * np.einsum("ab,ibc,jca->ji", t_dev, sig, sig)
+        a = (w.T + w.conj()) / 2
+        av = a @ v
+        grad = np.concatenate([2 * av.real.ravel(), 2 * av.imag.ravel()])
+        return f, grad
 
     import scipy.optimize
 
@@ -313,11 +292,12 @@ def project_cptp(
         res = None
         for mu in (1.0, 10.0, 100.0, 1000.0):
             res = scipy.optimize.minimize(
-                make_objective(mu),
+                fun_grad,
                 x,
+                args=(mu,),
                 jac=True,
                 method="L-BFGS-B",
-                options={"maxiter": opt.max_iter, "gtol": opt.grad_tol, "ftol": 1e-14},
+                options={"maxiter": opt.max_iter, "gtol": _GRAD_TOL, "ftol": 1e-14},
             )
             x = res.x
         grad_inf = float(np.abs(res.jac).max())

@@ -21,7 +21,7 @@ import numpy as np
 from ._optim import OptConfig
 from .errors import NumericalDomainError, OptimizerError, PhysicalityError, _require_finite
 from .linalg import frobenius_dist, mat_exp
-from .sic import SicPovm
+from .sic import SicPovm, _to_frame
 
 __all__ = [
     "Generator",
@@ -122,14 +122,17 @@ def _check_hermitian(h: np.ndarray, what: str = "Hamiltonian") -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"{what} must be square, got shape {h.shape}")
+    _require_finite(h, what)
     dev = float(np.abs(h - h.conj().T).max())
     if dev > 1e-10:
         raise PhysicalityError(f"{what} is not Hermitian: max dev {dev:.3e}")
     return h
 
 
-def _conjugated_superop(m: np.ndarray, s: SicPovm) -> np.ndarray:
-    return s.kinv @ m @ s.kmat
+def _commutator_superop(c: np.ndarray) -> np.ndarray:
+    """``-i (C (x) I - I (x) C.conj())``, the superoperator of ``X -> -i (C X - X C^H)``."""
+    eye = np.eye(len(c))
+    return -1j * (np.kron(c, eye) - np.kron(eye, c.conj()))
 
 
 def hgen_from_hamiltonian(h: np.ndarray, s: SicPovm) -> np.ndarray:
@@ -142,13 +145,7 @@ def hgen_from_hamiltonian(h: np.ndarray, s: SicPovm) -> np.ndarray:
     d = s.dim
     if h.shape[0] != d:
         raise ValueError(f"Hamiltonian dimension {h.shape[0]} does not match SIC {d}")
-    eye = np.eye(d)
-    lam = -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
-    hmat = _conjugated_superop(lam, s)
-    imag = float(np.abs(hmat.imag).max())
-    if imag > 1e-10:
-        raise NumericalDomainError(f"generator has imaginary residual {imag:.3e}")
-    return hmat.real
+    return _to_frame(_commutator_superop(h), s, s, "generator", 1e-10)
 
 
 def basis_hunit(s: SicPovm) -> np.ndarray:
@@ -162,11 +159,9 @@ def basis_hunit(s: SicPovm) -> np.ndarray:
 
 
 def _hunit_stack(s: SicPovm, sig: np.ndarray) -> np.ndarray:
-    eye = np.eye(s.dim)
     out = []
     for sig_i in sig:
-        lam = -1j * (np.kron(sig_i, eye) - np.kron(eye, sig_i.conj()))
-        out.append(_conjugated_superop(lam, s).real)
+        out.append(_to_frame(_commutator_superop(sig_i), s, s, "generator", 1e-10))
     return np.stack(out)
 
 
@@ -181,6 +176,8 @@ def project_unit(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = b.shape[1]
     if m.shape != (n, n):
         raise ValueError(f"matrix shape {m.shape} does not match basis {b.shape[1:]}")
+    _require_finite(m, "matrix")
+    _require_finite(b, "basis")
     d = math.isqrt(n)
     coeffs = np.einsum("iab,ab->i", b, m)
     return np.einsum("i,iab->ab", coeffs, b) / (4.0 * d)
@@ -250,7 +247,7 @@ def lgen_from_gksl(spec: GkslSpec, s: SicPovm) -> Generator:
     ``(i/2)(c* V0 - c V0^H)``, so the returned split folds it into
     ``h_part`` and leaves ``d_part`` a genuine traceless-noise dissipator.
     """
-    h = _check_hermitian(np.asarray(spec.hamiltonian, dtype=complex))
+    h = _check_hermitian(spec.hamiltonian)
     d = s.dim
     if h.shape[0] != d:
         raise ValueError(f"Hamiltonian dimension {h.shape[0]} does not match SIC {d}")
@@ -258,18 +255,15 @@ def lgen_from_gksl(spec: GkslSpec, s: SicPovm) -> Generator:
     for v in noise:
         if v.shape != (d, d):
             raise ValueError(f"noise operator shape {v.shape}, expected ({d}, {d})")
+        _require_finite(v, "noise operator")
     eye = np.eye(d)
     c = h - 0.5j * sum((v.conj().T @ v for v in noise), start=np.zeros((d, d), complex))
-    lam = -1j * (np.kron(c, eye) - np.kron(eye, c.conj()))
+    lam = _commutator_superop(c)
     lam += sum(
         (np.kron(v, v.conj()) for v in noise), start=np.zeros((d * d, d * d), complex)
     )
-    lmat = _conjugated_superop(lam, s)
-    imag = float(np.abs(lmat.imag).max())
-    if imag > 1e-8:
-        raise NumericalDomainError(f"generator has imaginary residual {imag:.3e}")
-    lmat = lmat.real
-    h_eff = h.astype(complex).copy()
+    lmat = _to_frame(lam, s, s, "generator", 1e-8)
+    h_eff = h.astype(complex)
     for v in noise:
         trace_coef = np.trace(v) / d
         v0 = v - trace_coef * eye
@@ -285,12 +279,15 @@ def kolmogorov_matrix(spec: GkslSpec, basis_states: np.ndarray | None = None) ->
     computational basis. Off-diagonals are nonnegative and columns sum to
     zero, so this is a genuine Kolmogorov generator on the diagonal.
     """
-    h = _check_hermitian(np.asarray(spec.hamiltonian, dtype=complex))
+    h = _check_hermitian(spec.hamiltonian)
     d = h.shape[0]
     noise = [np.asarray(v, dtype=complex) for v in spec.noise_ops]
+    for v in noise:
+        _require_finite(v, "noise operator")
     if basis_states is None:
         basis_states = np.eye(d, dtype=complex)
     basis_states = np.asarray(basis_states, dtype=complex)
+    _require_finite(basis_states, "basis states")
     ortho_dev = float(np.abs(basis_states.conj().T @ basis_states - np.eye(d)).max())
     if ortho_dev > 1e-10:
         raise ValueError(f"basis states are not orthonormal: dev {ortho_dev:.3e}")
@@ -311,9 +308,25 @@ def omega_basis(s: SicPovm, b: np.ndarray) -> np.ndarray:
     any PSD combination ``sum_ij P_ij Omega_ij`` is a valid dissipative
     part. Each element has zero column sums. ``b`` must hold the traceless
     operator-basis elements (the identity direction belongs to the
-    Hamiltonian sector, not here).
+    Hamiltonian sector, not here). Raises ValueError for non-finite ``b``.
     """
-    return _omega_stack(s, np.asarray(b))
+    b = np.asarray(b)
+    _require_finite(b, "basis")
+    return _omega_stack(s, b)
+
+
+def _theta_stack(sic_in: SicPovm, sic_out: SicPovm, sig: np.ndarray) -> np.ndarray:
+    """Channel basis elements ``K_out^-1 (sigma_i (x) sigma_j.conj()) K_in``.
+
+    The conjugate on the second factor is what makes ``sum P_ij Theta_ij``
+    with PSD ``P`` exactly the CP channels; without it the Choi state of
+    the expansion is not PSD-equivalent to ``P``.
+    """
+    d = sic_in.dim
+    n = d * d
+    kinv4 = sic_out.kinv.reshape(n, d, d)
+    kmat4 = sic_in.kmat.reshape(d, d, n)
+    return np.einsum("ace,icf,jeg,fgb->ijab", kinv4, sig, sig.conj(), kmat4, optimize=True)
 
 
 def _omega_stack(s: SicPovm, sig: np.ndarray) -> np.ndarray:
@@ -322,9 +335,9 @@ def _omega_stack(s: SicPovm, sig: np.ndarray) -> np.ndarray:
     kinv4 = s.kinv.reshape(n, d, d)
     kmat4 = s.kmat.reshape(d, d, n)
     prod = np.einsum("iab,jbc->ijac", sig, sig)  # sigma_i sigma_j
-    # K^-1 (sigma_i (x) sigma_j.conj()) K, K^-1 (sigma_j sigma_i (x) I) K
+    # the jump terms Theta_ij, K^-1 (sigma_j sigma_i (x) I) K
     # and K^-1 (I (x) (sigma_i sigma_j).conj()) K
-    jump = np.einsum("ace,icf,jeg,fgb->ijab", kinv4, sig, sig.conj(), kmat4, optimize=True)
+    jump = _theta_stack(s, s, sig)
     left = np.einsum("xab,ijac,cby->jixy", kinv4, prod, kmat4, optimize=True)
     right = np.einsum("xab,ijbe,aey->ijxy", kinv4, prod.conj(), kmat4, optimize=True)
     return jump - 0.5 * (left + right)
@@ -333,6 +346,9 @@ def _omega_stack(s: SicPovm, sig: np.ndarray) -> np.ndarray:
 def dgen_from_v(vmat: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Dissipative part generated by noise-coefficient matrix ``V``."""
     vmat = np.asarray(vmat, dtype=complex)
+    omega = np.asarray(omega)
+    _require_finite(vmat, "coefficient matrix")
+    _require_finite(omega, "dissipator basis")
     p = vmat @ vmat.conj().T
     d = np.einsum("ij,ijab->ab", p, omega)
     imag = float(np.abs(d.imag).max())

@@ -13,6 +13,9 @@ from .errors import LogBranchError, NonRealLogError, _require_finite
 
 __all__ = ["mat_exp", "mat_log_real", "eig_hermitian", "frobenius_dist"]
 
+_LOG_TOL_IMAG = 1e-8
+_HERMITIAN_TOL = 1e-10
+
 
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a)
@@ -30,7 +33,7 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(a)
 
 
-def mat_log_real(s: np.ndarray, tol_imag: float = 1e-8) -> np.ndarray:
+def mat_log_real(s: np.ndarray) -> np.ndarray:
     """Principal real logarithm of a real square matrix.
 
     Parameters
@@ -39,9 +42,6 @@ def mat_log_real(s: np.ndarray, tol_imag: float = 1e-8) -> np.ndarray:
         Real square matrix. Its spectrum must avoid the closed negative
         real axis (zero included), otherwise the principal branch is
         undefined or non-real.
-    tol_imag : float
-        Largest acceptable magnitude for imaginary parts of the computed
-        logarithm before they are discarded.
 
     Returns
     -------
@@ -54,8 +54,7 @@ def mat_log_real(s: np.ndarray, tol_imag: float = 1e-8) -> np.ndarray:
         If any eigenvalue of ``s`` lies on the closed negative real axis.
         The offending eigenvalues are attached to the exception.
     NonRealLogError
-        If the computed logarithm retains imaginary parts above
-        ``tol_imag``.
+        If the computed logarithm retains imaginary parts above 1e-8.
     """
     import scipy.linalg
 
@@ -76,24 +75,24 @@ def mat_log_real(s: np.ndarray, tol_imag: float = 1e-8) -> np.ndarray:
         )
     log = scipy.linalg.logm(s)
     imag_resid = float(np.abs(log.imag).max()) if np.iscomplexobj(log) else 0.0
-    if imag_resid > tol_imag:
+    if imag_resid > _LOG_TOL_IMAG:
         raise NonRealLogError(
-            f"logarithm has imaginary residual {imag_resid:.3e} above tol_imag={tol_imag:.1e}"
+            f"logarithm has imaginary residual {imag_resid:.3e} above tol_imag={_LOG_TOL_IMAG:.1e}"
         )
     return log.real if np.iscomplexobj(log) else log
 
 
-def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
-    Checks Hermiticity to ``tol`` (relative to the matrix scale) first and
+    Checks Hermiticity to 1e-10 (relative to the matrix scale) first and
     returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors in columns.
     """
     a = _as_square(a, "a")
     scale = max(1.0, float(np.abs(a).max()))
     dev = float(np.abs(a - a.conj().T).max())
-    if dev > tol * scale:
+    if dev > _HERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: max |a - a^H| = {dev:.3e}")
     vals, vecs = np.linalg.eigh(a)
     return vals, vecs
@@ -105,5 +104,7 @@ def frobenius_dist(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    _require_finite(a, "a")
+    _require_finite(b, "b")
     diff = a - b
     return float(np.sum(np.abs(diff) ** 2))

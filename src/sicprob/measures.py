@@ -52,11 +52,11 @@ def classicality_check(g: Generator | np.ndarray) -> bool:
     """True iff every off-diagonal entry is ``>= -1e-12``.
 
     For a zero-column-sum generator this is exactly the condition for
-    ``exp(L t)`` to be stochastic at all positive times.
+    ``exp(L t)`` to be stochastic at all positive times. Raises ValueError,
+    as :func:`negativity` does, for a non-square matrix or non-finite
+    entries.
     """
-    m = as_matrix(g)
-    off = m - np.diag(np.diag(m))
-    return bool(off.min() >= -1e-12)
+    return negativity(as_matrix(g)) <= 1e-12
 
 
 def negativity(m: np.ndarray) -> float:
@@ -270,8 +270,10 @@ def experiment_compose(e: ExperimentScheme) -> np.ndarray:
 
     ``Q`` is column stochastic for physical components; tiny negative
     entries found in ingested noisy data trigger a warning, not an error.
+    Raises ValueError for mismatched shapes or non-finite entries.
     """
     q = np.asarray(e.prep, dtype=float)
+    _require_finite(q, "preparation")
     col_dev = float(np.abs(q.sum(axis=0) - 1.0).max())
     if col_dev > 1e-9:
         raise ValueError(f"preparation columns must sum to 1 (dev {col_dev:.3e})")
@@ -281,12 +283,14 @@ def experiment_compose(e: ExperimentScheme) -> np.ndarray:
             raise ValueError(
                 f"channel {k} input dimension {ch.shape[1]} does not match chain {q.shape[0]}"
             )
+        _require_finite(ch, f"channel {k}")
         q = ch @ q
     bigm = np.asarray(e.meas.bigm, dtype=float)
     if bigm.shape[1] != q.shape[0]:
         raise ValueError(
             f"measurement input dimension {bigm.shape[1]} does not match chain {q.shape[0]}"
         )
+    _require_finite(bigm, "measurement map")
     q = bigm @ q
     col_dev = float(np.abs(q.sum(axis=0) - 1.0).max())
     if col_dev > 1e-9:

@@ -14,12 +14,11 @@ Vectorization convention: ``vec(A)`` flattens row-major, so
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhysicalityError
+from .errors import NumericalDomainError, PhysicalityError, _require_finite
 
 __all__ = [
     "Fiducial",
@@ -138,6 +137,8 @@ def from_fiducial(fid: Fiducial | np.ndarray, tol: float = 1e-8) -> SicPovm:
 
     Raises
     ------
+    ValueError
+        If the fiducial is not a vector or has non-finite entries.
     PhysicalityError
         If the vector is not normalized or its orbit fails the SIC
         conditions at tolerance ``tol``.
@@ -145,6 +146,7 @@ def from_fiducial(fid: Fiducial | np.ndarray, tol: float = 1e-8) -> SicPovm:
     psi = np.asarray(fid.amplitudes if isinstance(fid, Fiducial) else fid, dtype=complex)
     if psi.ndim != 1:
         raise ValueError(f"fiducial must be a vector, got shape {psi.shape}")
+    _require_finite(psi, "fiducial vector")
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-12:
         raise PhysicalityError(f"fiducial vector is not normalized: |psi| = {norm!r}")
@@ -199,8 +201,22 @@ def kmatrix(s: SicPovm) -> tuple[np.ndarray, np.ndarray]:
     return s.kmat, s.kinv
 
 
+def _to_frame(m: np.ndarray, s_out: SicPovm, s_in: SicPovm, what: str, tol: float) -> np.ndarray:
+    """Real part of ``K_out^-1 m K_in``, the superoperator ``m`` in the frame.
+
+    Raises NumericalDomainError naming ``what`` if the imaginary part exceeds ``tol``.
+    """
+    out = s_out.kinv @ m @ s_in.kmat
+    imag = float(np.abs(out.imag).max())
+    if imag > tol:
+        raise NumericalDomainError(f"{what} has imaginary residual {imag:.3e}")
+    return out.real
+
+
 def fingerprint(s: SicPovm) -> str:
     """Short stable hash of the projector family, for output provenance."""
+    import hashlib  # here, not at the top: nothing else needs it, and it costs ~8 ms
+
     h = hashlib.sha256()
     h.update(str(s.dim).encode())
     h.update(np.round(s.projectors, 12).tobytes())

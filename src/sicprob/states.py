@@ -97,6 +97,7 @@ def overlap(p: np.ndarray, q: np.ndarray, d: int) -> float:
 
     For qplex members the result lies in ``[0, 1]``; the lower end is
     reached by orthogonal pure states, the upper by identical pure ones.
+    Raises ValueError for vectors of the wrong length or non-finite entries.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -104,6 +105,8 @@ def overlap(p: np.ndarray, q: np.ndarray, d: int) -> float:
         raise ValueError(
             f"probability vectors must both have {d * d} entries, got {p.shape} and {q.shape}"
         )
+    _require_finite(p, "probability vector")
+    _require_finite(q, "probability vector")
     return float(d * (d + 1) * np.dot(p, q) - 1.0)
 
 
@@ -182,6 +185,7 @@ def mub_from_sic(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (4,):
         raise ValueError(f"expected a 4-entry qubit probability vector, got {p.shape}")
+    _require_finite(p, "probability vector")
     return _MUB_F @ p
 
 
@@ -190,4 +194,5 @@ def sic_from_mub(ptilde: np.ndarray) -> np.ndarray:
     ptilde = np.asarray(ptilde, dtype=float)
     if ptilde.shape != (3,):
         raise ValueError(f"expected 3 MUB probabilities, got shape {ptilde.shape}")
+    _require_finite(ptilde, "MUB probabilities")
     return _MUB_T @ ptilde + _MUB_C

@@ -45,6 +45,44 @@ def test_project_mark_rejects_nonfinite(bad):
     with pytest.raises(ValueError, match="non-finite"):
         project_mark(np.full((4, 4), bad), SIC, OptConfig(restarts=1))
 
+
+NAN2 = np.full((2, 2), np.nan)
+NAN4 = np.full((4, 4), np.nan)
+
+
+# Each of these used to return NaN: NaN passes every tolerance test.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: project_unit(NAN4, np.full((3, 4, 4), np.nan)),
+        lambda: project_unit(NAN4, basis_hunit(SIC)),
+        lambda: hgen_from_hamiltonian(NAN2, SIC),
+        lambda: lgen_from_gksl(GkslSpec(2, NAN2, (NAN2,)), SIC),
+        lambda: lgen_from_gksl(GkslSpec(2, np.eye(2), (NAN2,)), SIC),
+        lambda: kolmogorov_matrix(GkslSpec(2, NAN2, (NAN2,)), NAN2),
+        lambda: kolmogorov_matrix(GkslSpec(2, np.eye(2), (NAN2,))),
+        lambda: kolmogorov_matrix(GkslSpec(2, np.eye(2)), NAN2),
+        lambda: dgen_from_v(np.full((3, 3), np.nan), np.full((3, 3, 4, 4), np.nan)),
+        lambda: omega_basis(SIC, np.full((3, 2, 2), np.nan)),
+    ],
+    ids=[
+        "project_unit",
+        "project_unit-matrix",
+        "hgen_from_hamiltonian",
+        "lgen_from_gksl",
+        "lgen_from_gksl-noise",
+        "kolmogorov_matrix",
+        "kolmogorov_matrix-noise",
+        "kolmogorov_matrix-basis",
+        "dgen_from_v",
+        "omega_basis",
+    ],
+)
+def test_rejects_nonfinite(call):
+    with pytest.raises(ValueError, match="non-finite") as exc:
+        call()
+    assert type(exc.value) is ValueError
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
 SZ = np.diag([1.0, -1.0]).astype(complex)

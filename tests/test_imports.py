@@ -34,3 +34,29 @@ def test_conversions_do_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# What the benchmark's setup interpreter does: import the package and its
+# codecs and build both frames.
+SETUP_SCRIPT = """
+import json, sys
+import sicprob, sicprob.serialize
+
+with open(sys.argv[1], encoding="utf-8") as fh:
+    fid = sicprob.serialize.load_fiducial(json.load(fh))
+frames = (sicprob.builtin_qubit(), sicprob.from_fiducial(fid))
+print(sorted(m for m in sys.modules if m in ("hashlib", "_hashlib")))
+"""
+
+
+def test_setup_does_not_load_hashlib():
+    # fingerprint is the only user of hashlib and imports it itself
+    src = pathlib.Path(sicprob.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    fiducial = pathlib.Path(__file__).parent / "data" / "fiducial_d3.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", SETUP_SCRIPT, str(fiducial)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -146,3 +146,12 @@ def test_frobenius_dist_is_squared():
 def test_frobenius_dist_shape_mismatch():
     with pytest.raises(ValueError):
         frobenius_dist(np.zeros((2, 2)), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_frobenius_dist_rejects_nonfinite(bad):
+    # used to return NaN or inf
+    with pytest.raises(ValueError, match="non-finite"):
+        frobenius_dist(np.full((2, 2), bad), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        frobenius_dist(np.zeros((2, 2)), np.full((2, 2), bad))

@@ -27,7 +27,7 @@ from sicprob.measures import (
 )
 from sicprob.serialize import load_fiducial
 from sicprob.sic import builtin_qubit, from_fiducial
-from sicprob.states import measurement_map, state_to_prob
+from sicprob.states import MeasurementMap, measurement_map, state_to_prob
 
 from fixtures import (
     H3_QUBIT,
@@ -83,6 +83,26 @@ def test_negativity_rejects_nonfinite(bad):
     m[0, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         negativity(m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_classicality_check_rejects_nonfinite(bad):
+    # used to answer False: NaN fails the off-diagonal test silently
+    with pytest.raises(ValueError, match="non-finite") as exc:
+        classicality_check(np.full((4, 4), bad))
+    assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("part", ["prep", "channel", "meas"])
+def test_experiment_compose_rejects_nonfinite(part):
+    # used to return a NaN outcome matrix: NaN passes the column-sum checks
+    mm = measurement_map([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], SIC)
+    prep, channel, bigm = np.full((4, 1), 0.25), np.eye(4), mm.bigm.copy()
+    {"prep": prep, "channel": channel, "meas": bigm}[part][0, 0] = np.nan
+    scheme = ExperimentScheme(prep, (channel,), MeasurementMap(mm.mmat, bigm))
+    with pytest.raises(ValueError, match="non-finite") as exc:
+        experiment_compose(scheme)
+    assert type(exc.value) is ValueError
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -5,9 +5,9 @@ hypothesis draws, so a failure shrinks to a small counterexample. Every
 check is an invariant a docstring promises: unit column sums, the CPTP
 verdict on a Kraus channel, the Choi and state round trips at d=2 and d=3,
 and for qubit GKSL generators ``0 <= delta_quant <= negativity`` and the
-invariance of ``delta_quant`` under frame rotations, and for the qubit
+invariance of ``delta_quant`` under frame rotations, for the qubit
 ``project_mark`` its idempotence and the KKT certificate of its convex
-problem.
+problem, and at d=2 and d=3 the split of ``lgen_from_gksl``'s generator.
 """
 
 import numpy as np
@@ -27,6 +27,7 @@ from sicprob.dynamics import (  # noqa: E402
     basis_hunit,
     lgen_from_gksl,
     project_mark,
+    project_unit,
 )
 from sicprob.linalg import mat_exp  # noqa: E402
 from sicprob.measures import delta_quant, negativity  # noqa: E402
@@ -165,3 +166,29 @@ def test_project_mark_satisfies_kkt(dtilde):
     assert np.linalg.eigvalsh(hermitian(z)).min() >= -1e-12
     assert np.linalg.eigvalsh(hermitian(grad)).min() >= -1e-9
     assert abs(float(z @ grad)) <= 1e-9
+
+
+@st.composite
+def gksl_specs(draw):
+    """``(d, spec)``: a drawn Hamiltonian and one or two drawn noise
+    operators, whose traces are left as drawn."""
+    d = draw(st.sampled_from(sorted(SICS)))
+    n_ops = draw(st.integers(1, 2))
+    a = draw(arrays(float, (2 + 2 * n_ops, d, d), elements=entries))
+    h = a[0] + 1j * a[1]
+    noise = tuple(a[k] + 1j * a[k + 1] for k in range(2, 2 + 2 * n_ops, 2))
+    return d, GkslSpec(d, (h + h.conj().T) / 2, noise)
+
+
+@PROPERTY
+@given(gksl_specs())
+def test_gksl_generator_splits_into_unitary_and_dissipative_parts(case):
+    d, spec = case
+    sic = SICS[d]
+    gen = lgen_from_gksl(spec, sic)
+    basis = basis_hunit(sic)
+    tol = 1e-10 * max(1.0, float(np.abs(gen.matrix).max()))
+    assert np.abs(gen.matrix.sum(axis=0)).max() <= tol
+    assert np.abs(gen.h_part + gen.d_part - gen.matrix).max() <= tol
+    assert np.abs(project_unit(gen.h_part, basis) - gen.h_part).max() <= tol
+    assert np.abs(project_unit(gen.d_part, basis)).max() <= tol

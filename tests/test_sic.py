@@ -131,6 +131,15 @@ def test_unnormalized_fiducial_rejected():
         from_fiducial(Fiducial(2, np.array([1.0, 1.0])))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_fiducial_rejected(bad):
+    # used to raise PhysicalityError ("projector dev 0.000e+00", CLI exit 3):
+    # NaN passes the normalization test and every projector check
+    with pytest.raises(ValueError, match="non-finite") as exc:
+        from_fiducial(Fiducial(2, np.array([bad, bad])))
+    assert type(exc.value) is ValueError
+
+
 def test_fingerprint_stable_and_distinct():
     a = fingerprint(builtin_qubit())
     b = fingerprint(builtin_qubit())

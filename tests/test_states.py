@@ -202,6 +202,22 @@ def test_mub_round_trip():
         assert np.abs(sic_from_mub(pt) - p).max() < 1e-12
 
 
+# Each of these used to return NaN.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: overlap(np.full(4, np.nan), np.full(4, np.nan), 2),
+        lambda: overlap(np.full(4, 0.25), np.full(4, np.inf), 2),
+        lambda: mub_from_sic(np.full(4, np.nan)),
+        lambda: sic_from_mub(np.full(3, np.nan)),
+    ],
+    ids=["overlap", "overlap-inf", "mub_from_sic", "sic_from_mub"],
+)
+def test_probability_helpers_reject_nonfinite(call):
+    with pytest.raises(ValueError, match="non-finite"):
+        call()
+
+
 def test_mub_values():
     # +z eigenstate: certain on the z question, unbiased on x and y
     rho = np.diag([1.0, 0.0]).astype(complex)

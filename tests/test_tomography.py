@@ -237,11 +237,6 @@ def test_run_pipeline_projects_each_matrix_once(monkeypatch):
     assert np.array_equal(report.cal.s_cptp, cal_dec)
     assert np.array_equal(report.s_u, cal_u)
     assert np.array_equal(report.main.s_cptp, project_cptp(raw_main, SIC, SIC, opt))
-    # inverting the raw calibration matrix projects only the product
-    raw_dec, raw_u = calibrate(raw_cal, raw_main, SIC, opt, project_before_inversion=False)
-    assert np.array_equal(raw_dec, cal_dec)
-    expected_u = project_cptp(np.linalg.solve(raw_cal, raw_main), SIC, SIC, opt)
-    assert np.array_equal(raw_u, expected_u)
 
 
 def test_run_pipeline_matches_recorded_outputs():
