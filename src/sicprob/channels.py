@@ -238,7 +238,8 @@ def project_cptp(
     Parametrizes the channel by a coefficient matrix ``V`` (Kraus operators
     expanded in the Hermitian basis), which makes complete positivity
     automatic, and treats trace preservation as a quadratic penalty whose
-    weight is ramped up across optimization stages. The best of
+    weight is ramped up across four L-BFGS-B stages (``_lbfgsb``, SciPy's
+    routine without its per-evaluation wrapping). The best of
     ``opt.restarts`` perturbed runs is then repaired to exact trace
     preservation by the substitution ``A_k -> A_k T^{-1/2}`` with
     ``T = sum_k A_k^H A_k``, so the returned matrix is exactly CPTP.
@@ -279,7 +280,7 @@ def project_cptp(
         grad = np.concatenate([2 * av.real.ravel(), 2 * av.imag.ravel()])
         return f, grad
 
-    import scipy.optimize
+    from ._lbfgsb import lbfgsb
 
     best: tuple[float, np.ndarray] | None = None
     n_converged = 0
@@ -289,22 +290,13 @@ def project_cptp(
         else:
             rng = np.random.default_rng(opt.seed + k)
             x = x_start + 0.3 * rng.standard_normal(x_start.shape)
-        res = None
         for mu in (1.0, 10.0, 100.0, 1000.0):
-            res = scipy.optimize.minimize(
-                fun_grad,
-                x,
-                args=(mu,),
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": opt.max_iter, "gtol": _GRAD_TOL, "ftol": 1e-14},
-            )
-            x = res.x
-        grad_inf = float(np.abs(res.jac).max())
-        if res.success or grad_inf <= 1e-5 * max(1.0, abs(res.fun)):
+            x, f, g, _, success = lbfgsb(fun_grad, x, (mu,), opt.max_iter, _GRAD_TOL, 1e-14)
+        grad_inf = float(np.abs(g).max())
+        if success or grad_inf <= 1e-5 * max(1.0, abs(f)):
             n_converged += 1
-        if np.isfinite(res.fun) and (best is None or res.fun < best[0]):
-            best = (float(res.fun), res.x.copy())
+        if np.isfinite(f) and (best is None or f < best[0]):
+            best = (float(f), x)
     if best is None or n_converged == 0:
         raise OptimizerError(f"CPTP projection failed to converge in {opt.restarts} restarts")
 

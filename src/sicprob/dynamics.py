@@ -218,10 +218,11 @@ def evolve_time_ordered(gen_fn, t: float, steps: int | None = None) -> np.ndarra
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     dt = t / steps
-    first = as_matrix(gen_fn(0.5 * dt))
-    u = np.eye(first.shape[0])
+    lk = as_matrix(gen_fn(0.5 * dt))
+    u = np.eye(lk.shape[0])
     for k in range(steps):
-        lk = as_matrix(gen_fn((k + 0.5) * dt))
+        if k:
+            lk = as_matrix(gen_fn((k + 0.5) * dt))
         u = mat_exp(lk * dt) @ u
     return u
 

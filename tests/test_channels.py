@@ -296,6 +296,15 @@ def test_project_cptp_matches_recorded_outputs():
         assert np.array_equal(out, np.array(case["s_cptp"]))
 
 
+@pytest.mark.parametrize("max_iter", [1, 3])
+def test_project_cptp_raises_when_no_restart_converges(max_iter):
+    # every penalty stage stops at the iteration cap far from stationary
+    with open(DATA / "project_cptp_restarts2.json", encoding="utf-8") as fh:
+        s_raw = np.array(json.load(fh)["cases"][0]["s_raw"])
+    with pytest.raises(OptimizerError, match="^CPTP projection failed to converge in 2 restarts$"):
+        project_cptp(s_raw, SIC, SIC, OptConfig(restarts=2, max_iter=max_iter))
+
+
 def test_project_cptp_fixed_point():
     # channels already in the set stay put
     rng = np.random.default_rng(71)

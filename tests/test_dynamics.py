@@ -284,6 +284,17 @@ def test_evolve_time_ordered_generator_objects():
     assert np.abs(u - mat_exp(g.matrix * 0.3)).max() < 1e-8
 
 
+def test_evolve_time_ordered_calls_gen_fn_once_per_step():
+    times = []
+
+    def gen(t):
+        times.append(t)
+        return H3_QUBIT / 2
+
+    evolve_time_ordered(gen, 1.0, steps=4)
+    assert times == [0.125, 0.375, 0.625, 0.875]
+
+
 def test_lgen_no_noise_reduces_to_hgen():
     spec = GkslSpec(2, SZ / 2)
     g = lgen_from_gksl(spec, SIC)
