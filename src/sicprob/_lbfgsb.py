@@ -1,11 +1,15 @@
-"""Unbounded L-BFGS-B, driven directly through SciPy's ``setulb``.
+"""Unbounded L-BFGS-B in lock-step lanes, driven directly through SciPy's ``setulb``.
 
-The loop of ``scipy.optimize.minimize(method="L-BFGS-B")`` for an objective
-that returns ``(f, grad)``, without the wrappers that cache, compare and copy
-around each evaluation. It calls the same C routine of Zhu, Byrd, Lu &
-Nocedal (ACM TOMS 23, 550, 1997) with the same arguments, so it takes the
-same steps and returns the same bits; ``tests/test_lbfgsb.py`` holds it to
-``minimize``.
+Each lane is one run of the loop of ``scipy.optimize.minimize(method="L-BFGS-B")``
+for an objective that returns ``(f, grad)``, without the wrappers that cache,
+compare and copy around each evaluation, through a schedule of stages that
+differ only in one objective parameter. Lanes keep their own ``setulb`` state
+and advance together: each round steps every lane until it asks for an
+evaluation, then evaluates all of them in one vectorized call. The C routine
+of Zhu, Byrd, Lu & Nocedal (ACM TOMS 23, 550, 1997) gets the same arguments as
+in ``minimize``, so each lane takes the same steps and returns the same bits
+as ``minimize`` run stage after stage on its own; ``tests/test_lbfgsb.py``
+holds it to that.
 """
 
 from __future__ import annotations
@@ -19,42 +23,73 @@ _MAXLS = 20
 _MAXFUN = 15000
 
 
-def lbfgsb(fun_grad, x0, args, max_iter, gtol, ftol):
-    """Minimize ``fun_grad(x, *args) -> (f, grad)`` from ``x0`` without bounds.
+class _Lane:
+    """The ``setulb`` state of one start in one stage; it updates ``x`` in place."""
 
-    Equals ``minimize(fun_grad, x0, args, jac=True, method="L-BFGS-B",
-    options={"maxiter": max_iter, "gtol": gtol, "ftol": ftol})`` bit for
-    bit. Returns ``(x, f, grad, nit, success)``.
+    def __init__(self, x: np.ndarray):
+        n = x.size
+        self.x = x
+        self.f = np.array(0.0)
+        self.g = np.zeros(n)
+        self.wa = np.zeros(2 * _M * n + 5 * n + 11 * _M * _M + 8 * _M)
+        self.iwa = np.zeros(3 * n, np.int32)
+        self.task = np.zeros(2, np.int32)
+        self.ln_task = np.zeros(2, np.int32)
+        self.lsave = np.zeros(4, np.int32)
+        self.isave = np.zeros(44, np.int32)
+        self.dsave = np.zeros(29)
+        self.nit = self.nfev = 0
+
+
+def lbfgsb_lanes(fun_grad_many, x0, mus, max_iter, gtol, ftol):
+    """Minimize from every row of ``x0`` without bounds, through the stages ``mus``.
+
+    ``fun_grad_many(X, mu, lanes) -> (f, G)`` evaluates the rows of ``X``
+    ``(k, n)`` for the lanes ``lanes`` (indices into ``x0``) at the stage
+    parameters ``mu`` ``(k,)``, giving ``f`` ``(k,)`` and ``G`` ``(k, n)``.
+    Each stage starts afresh from the ``x`` the lane's previous stage ended
+    at, and lane ``i`` equals ``minimize(fun_i, x, (mu,), jac=True,
+    method="L-BFGS-B", options={"maxiter": max_iter, "gtol": gtol, "ftol":
+    ftol})`` run for each ``mu`` in turn, bit for bit, where ``fun_i`` is
+    the objective of lane ``i``. Returns ``(x, f, grad, nit, success)`` of
+    every lane's last stage.
     """
-    n = x0.size
-    x = np.array(x0, dtype=np.float64)
-    f = np.array(0.0)
-    g = np.zeros(n)
+    factr = ftol / np.finfo(float).eps
+    x = np.array(x0, dtype=np.float64)  # row i: the iterate of lane i
+    n = x.shape[1]
     low, up = np.zeros(n), np.zeros(n)
     nbd = np.zeros(n, np.int32)  # 0: unbounded
-    wa = np.zeros(2 * _M * n + 5 * n + 11 * _M * _M + 8 * _M)
-    iwa = np.zeros(3 * n, np.int32)
-    task = np.zeros(2, np.int32)
-    ln_task = np.zeros(2, np.int32)
-    lsave = np.zeros(4, np.int32)
-    isave = np.zeros(44, np.int32)
-    dsave = np.zeros(29)
-    factr = ftol / np.finfo(float).eps
-    nit = nfev = 0
+    mus = np.asarray(mus, dtype=np.float64)
+    stage = np.zeros(len(x), np.intp)
+    lanes = [_Lane(row) for row in x]
+    done: list[tuple | None] = [None] * len(lanes)
     while True:
-        g = g.astype(np.float64)
-        _lbfgsb.setulb(
-            _M, x, low, up, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave,
-            _MAXLS, ln_task,
-        )  # fmt: skip
-        if task[0] == 3:  # FG: evaluate at x
-            f, g = fun_grad(x, *args)
-            nfev += 1
-        elif task[0] == 1:  # NEW_X: an iteration is done
-            nit += 1
-            if nit >= max_iter:
-                task[:] = 5, 504
-            elif nfev > _MAXFUN:
-                task[:] = 5, 502
-        else:
-            return x, f, g, nit, bool(task[0] == 4)
+        asking = []
+        for i, ln in enumerate(lanes):
+            while done[i] is None:
+                ln.g = ln.g.astype(np.float64)
+                _lbfgsb.setulb(
+                    _M, ln.x, low, up, nbd, ln.f, ln.g, factr, gtol, ln.wa, ln.iwa, ln.task,
+                    ln.lsave, ln.isave, ln.dsave, _MAXLS, ln.ln_task,
+                )  # fmt: skip
+                if ln.task[0] == 3:  # FG: evaluate at x
+                    asking.append(i)
+                    break
+                if ln.task[0] == 1:  # NEW_X: an iteration is done
+                    ln.nit += 1
+                    if ln.nit >= max_iter:
+                        ln.task[:] = 5, 504
+                    elif ln.nfev > _MAXFUN:
+                        ln.task[:] = 5, 502
+                elif stage[i] + 1 < len(mus):
+                    stage[i] += 1
+                    lanes[i] = ln = _Lane(ln.x)
+                else:
+                    done[i] = (ln.x, ln.f, ln.g, ln.nit, bool(ln.task[0] == 4))
+        if not asking:
+            return done
+        idx = np.array(asking)
+        f, g = fun_grad_many(x[idx], mus[stage[idx]], idx)
+        for i, fi, gi in zip(asking, f, g):
+            lanes[i].f, lanes[i].g = fi, gi
+            lanes[i].nfev += 1

@@ -203,8 +203,8 @@ def is_cptp(
 
 
 def _tp_operator(p: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """``sum_k A_k^H A_k`` expressed through the coefficient Gram matrix."""
-    return np.einsum("ji,iab,jbc->ac", p, sig, sig)
+    """``sum_k A_k^H A_k`` expressed through the coefficient Gram matrices ``(k, n, n)``."""
+    return np.einsum("kji,iab,jbc->kac", p, sig, sig)
 
 
 def _kraus_coeffs_from_choi(rho: np.ndarray, d: int, sig: np.ndarray) -> np.ndarray:
@@ -239,15 +239,23 @@ def project_cptp(
     expanded in the Hermitian basis), which makes complete positivity
     automatic, and treats trace preservation as a quadratic penalty whose
     weight is ramped up across four L-BFGS-B stages (``_lbfgsb``, SciPy's
-    routine without its per-evaluation wrapping). The best of
-    ``opt.restarts`` perturbed runs is then repaired to exact trace
-    preservation by the substitution ``A_k -> A_k T^{-1/2}`` with
-    ``T = sum_k A_k^H A_k``, so the returned matrix is exactly CPTP.
+    routine without its per-evaluation wrapping, every restart one lane of
+    a lock-step run). The best of ``opt.restarts`` perturbed runs is then
+    repaired to exact trace preservation by the substitution
+    ``A_k -> A_k T^{-1/2}`` with ``T = sum_k A_k^H A_k``, so the returned
+    matrix is exactly CPTP.
 
     Raises ValueError for a matrix of the wrong shape or with non-finite
     entries, and OptimizerError if no restart converges or the trace
     operator of the best run is close to singular.
     """
+    return _project_cptp_many((s_raw,), sic_in, sic_out, opt)[0]
+
+
+def _project_cptp_many(mats, sic_in: SicPovm, sic_out: SicPovm, opt: OptConfig | None):
+    """``[project_cptp(s, sic_in, sic_out, opt) for s in mats]`` bit for bit, every
+    restart of every matrix one lane of one L-BFGS-B driver call. Raises the error
+    of the first invalid matrix, else that of the first one whose projection fails."""
     from .dynamics import _theta_stack, basis_sigma
 
     if sic_in.dim != sic_out.dim:
@@ -255,70 +263,86 @@ def project_cptp(
     opt = opt or OptConfig()
     d = sic_in.dim
     n = d * d
-    s_raw = np.asarray(s_raw, dtype=float)
-    if s_raw.shape != (n, n):
-        raise ValueError(f"matrix shape {s_raw.shape}, expected ({n}, {n})")
-    _require_finite(s_raw, "channel matrix")
     sig = basis_sigma(d)
     theta = _theta_stack(sic_in, sic_out, sig)
     eye = np.eye(d)
-
-    v_start = _kraus_coeffs_from_choi(_choi(s_raw, sic_in, sic_out), d, sig)
-    x_start = np.concatenate([v_start.real.ravel(), v_start.imag.ravel()])
-
-    def fun_grad(x: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-        v = (x[: n * n] + 1j * x[n * n :]).reshape(n, n)
-        p = v @ v.conj().T
-        s_model = np.einsum("ij,ijab->ab", p, theta).real
-        resid = s_model - s_raw
-        t_dev = _tp_operator(p, sig) - eye
-        f = float(np.sum(resid**2)) + mu * float(np.sum(np.abs(t_dev) ** 2))
-        w = np.einsum("ab,ijab->ij", 2.0 * resid, theta)
-        w += 2.0 * mu * np.einsum("ab,ibc,jca->ji", t_dev, sig, sig)
-        a = (w.T + w.conj()) / 2
-        av = a @ v
-        grad = np.concatenate([2 * av.real.ravel(), 2 * av.imag.ravel()])
-        return f, grad
-
-    from ._lbfgsb import lbfgsb
-
-    best: tuple[float, np.ndarray] | None = None
-    n_converged = 0
-    for k in range(max(1, opt.restarts)):
-        if k == 0:
-            x = x_start.copy()
-        else:
+    restarts = max(1, opt.restarts)
+    starts, s_lanes, cols = [], [], []
+    for s_raw in mats:
+        s_raw = np.asarray(s_raw, dtype=float)
+        if s_raw.shape != (n, n):
+            raise ValueError(f"matrix shape {s_raw.shape}, expected ({n}, {n})")
+        _require_finite(s_raw, "channel matrix")
+        # the warm start and the summation order of the residual follow the
+        # layout of s_raw as passed, so a lane keeps its matrix transposed if
+        # s_raw is column-major (as reconstruct_raw's output is)
+        v_start = _kraus_coeffs_from_choi(_choi(s_raw, sic_in, sic_out), d, sig)
+        x_start = np.concatenate([v_start.real.ravel(), v_start.imag.ravel()])
+        starts.append(x_start)
+        for k in range(1, restarts):
             rng = np.random.default_rng(opt.seed + k)
-            x = x_start + 0.3 * rng.standard_normal(x_start.shape)
-        for mu in (1.0, 10.0, 100.0, 1000.0):
-            x, f, g, _, success = lbfgsb(fun_grad, x, (mu,), opt.max_iter, _GRAD_TOL, 1e-14)
-        grad_inf = float(np.abs(g).max())
-        if success or grad_inf <= 1e-5 * max(1.0, abs(f)):
-            n_converged += 1
-        if np.isfinite(f) and (best is None or f < best[0]):
-            best = (float(f), x)
-    if best is None or n_converged == 0:
-        raise OptimizerError(f"CPTP projection failed to converge in {opt.restarts} restarts")
+            starts.append(x_start + 0.3 * rng.standard_normal(x_start.shape))
+        col = abs(s_raw.strides[0]) < abs(s_raw.strides[1])
+        s_lanes += [s_raw.T if col else s_raw] * restarts
+        cols += [col] * restarts
+    s_lanes, cols, mixed = np.array(s_lanes), np.array(cols), len(set(cols)) > 1
 
-    v = (best[1][: n * n] + 1j * best[1][n * n :]).reshape(n, n)
-    t_op = _tp_operator(v @ v.conj().T, sig)
-    vals, vecs = np.linalg.eigh((t_op + t_op.conj().T) / 2)
-    if vals.min() < 1e-8:
-        raise OptimizerError(
-            f"trace operator nearly singular after optimization (min eig {vals.min():.3e})"
-        )
-    t_inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    rescale = np.einsum("iab,jbc,ca->ij", sig, sig, t_inv_sqrt) / 2
-    v = rescale @ v
-    p = v @ v.conj().T
-    s_proj = np.einsum("ij,ijab->ab", p, theta).real
-    ok, report = is_cptp(s_proj, sic_in, sic_out, tol=1e-7)
-    if not ok:
-        raise OptimizerError(
-            f"projection output failed the CPTP check: min Choi eig {report.min_choi_eig:.3e}, "
-            f"TP residual {report.tp_residual:.3e}"
-        )
-    return s_proj
+    def fun_grad_many(x: np.ndarray, mu: np.ndarray, lanes: np.ndarray):
+        col = cols[lanes]
+        if mixed and col.any() and not col.all():  # both layouts: one evaluation each
+            f, g = np.empty(len(x)), np.empty_like(x)
+            for sel in (~col, col):
+                f[sel], g[sel] = fun_grad_many(x[sel], mu[sel], lanes[sel])
+            return f, g
+        v = (x[:, : n * n] + 1j * x[:, n * n :]).reshape(-1, n, n)
+        p = v @ v.conj().transpose(0, 2, 1)
+        s_model = np.einsum("kij,ijab->kab", p, theta).real
+        resid = (s_model.transpose(0, 2, 1) if col[0] else s_model) - s_lanes[lanes]
+        t_dev = _tp_operator(p, sig) - eye
+        f = (resid**2).sum(axis=(1, 2)) + mu * (np.abs(t_dev) ** 2).sum(axis=(1, 2))
+        w = np.einsum("kba,ijab->kij" if col[0] else "kab,ijab->kij", 2.0 * resid, theta)
+        w += (2.0 * mu)[:, None, None] * np.einsum("kab,ibc,jca->kji", t_dev, sig, sig)
+        a = (w.transpose(0, 2, 1) + w.conj()) / 2
+        av = (a @ v).reshape(len(x), -1)
+        return f, np.concatenate([2 * av.real, 2 * av.imag], axis=1)
+
+    from ._lbfgsb import lbfgsb_lanes
+
+    runs = lbfgsb_lanes(
+        fun_grad_many, np.array(starts), (1.0, 10.0, 100.0, 1000.0), opt.max_iter, _GRAD_TOL, 1e-14
+    )
+    out = []
+    for m in range(len(runs) // restarts):
+        best: tuple[float, np.ndarray] | None = None
+        n_converged = 0
+        for x, f, g, _, success in runs[m * restarts : (m + 1) * restarts]:
+            grad_inf = float(np.abs(g).max())
+            if success or grad_inf <= 1e-5 * max(1.0, abs(f)):
+                n_converged += 1
+            if np.isfinite(f) and (best is None or f < best[0]):
+                best = (float(f), x)
+        if best is None or n_converged == 0:
+            raise OptimizerError(f"CPTP projection failed to converge in {opt.restarts} restarts")
+        v = (best[1][: n * n] + 1j * best[1][n * n :]).reshape(n, n)
+        t_op = _tp_operator((v @ v.conj().T)[None], sig)[0]
+        vals, vecs = np.linalg.eigh((t_op + t_op.conj().T) / 2)
+        if vals.min() < 1e-8:
+            raise OptimizerError(
+                f"trace operator nearly singular after optimization (min eig {vals.min():.3e})"
+            )
+        t_inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        rescale = np.einsum("iab,jbc,ca->ij", sig, sig, t_inv_sqrt) / 2
+        v = rescale @ v
+        p = v @ v.conj().T
+        s_proj = np.einsum("ij,ijab->ab", p, theta).real
+        ok, report = is_cptp(s_proj, sic_in, sic_out, tol=1e-7)
+        if not ok:
+            raise OptimizerError(
+                f"projection output failed the CPTP check: min Choi eig {report.min_choi_eig:.3e}, "
+                f"TP residual {report.tp_residual:.3e}"
+            )
+        out.append(s_proj)
+    return out
 
 
 def compose(s2: np.ndarray, s1: np.ndarray) -> np.ndarray:

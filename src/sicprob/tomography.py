@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._optim import OptConfig
-from .channels import project_cptp
+from .channels import _project_cptp_many, project_cptp
 from .errors import NumericalDomainError, _require_finite
 from .linalg import frobenius_dist
 from .measures import EvolutionAnalysis, analyze_evolution
@@ -189,16 +189,16 @@ def calibrate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Divide the preparation-and-measurement channel out of a raw estimate.
 
-    Both raw matrices are projected to CPTP, the projected calibration
-    channel is inverted, and the product is projected again (a product
-    with an inverse need not be CPTP).
+    Both raw matrices are projected to CPTP in one batched call, the
+    projected calibration channel is inverted, and the product is projected
+    again (a product with an inverse need not be CPTP).
 
     Returns ``(s_dec, s_u)``. Raises NumericalDomainError when the
     calibration channel is numerically singular (condition number above
     1e8).
     """
-    s_dec = project_cptp(s_dec_raw, s, s, opt)
-    s_u = _divide_out(s_dec, project_cptp(s_decu_raw, s, s, opt), s, opt)
+    s_dec, s_decu = _project_cptp_many((s_dec_raw, s_decu_raw), s, s, opt)
+    s_u = _divide_out(s_dec, s_decu, s, opt)
     return s_dec, s_u
 
 
@@ -232,10 +232,11 @@ def run_pipeline(
     count.
 
     The steps are those of ``calibrate``: each raw matrix is projected to
-    CPTP once, and the projections serve as ``cal.s_cptp``/``main.s_cptp``
-    and as the factors of ``s_u``. So the pipeline makes three
-    ``project_cptp`` calls, each certified by that function's CPTP check,
-    and its results are exactly those of ``calibrate(raw_cal, raw_main)``.
+    CPTP once, both in one batched call, and the projections serve as
+    ``cal.s_cptp``/``main.s_cptp`` and as the factors of ``s_u``. So the
+    pipeline makes three projections, each certified by ``project_cptp``'s
+    CPTP check, and its results are exactly those of
+    ``calibrate(raw_cal, raw_main)``.
     """
     if counts_main.dim != counts_cal.dim:
         raise ValueError(
@@ -250,8 +251,7 @@ def run_pipeline(
     delta = error_estimate(counts_main.shots)
     raw_cal = reconstruct_raw(freq_from_counts(counts_cal), s)
     raw_main = reconstruct_raw(freq_from_counts(counts_main), s)
-    s_dec = project_cptp(raw_cal, s, s, opt)
-    s_decu = project_cptp(raw_main, s, s, opt)
+    s_dec, s_decu = _project_cptp_many((raw_cal, raw_main), s, s, opt)
     s_u = _divide_out(s_dec, s_decu, s, opt)
     meta = {"seed": (opt or OptConfig()).seed, "sic": fingerprint(s)}
     cal_report = _reconstruction(raw_cal, s_dec, delta, meta)

@@ -5,6 +5,7 @@ import pytest
 
 from sicprob._optim import OptConfig
 from sicprob.channels import (
+    _project_cptp_many,
     apply,
     builtin_ptp,
     choi_to_pstoch,
@@ -17,6 +18,7 @@ from sicprob.channels import (
 from sicprob.errors import OptimizerError, PhysicalityError
 from sicprob.sic import builtin_qubit
 from sicprob.states import state_to_prob
+from sicprob.tomography import freq_from_counts, reconstruct_raw, simulate_counts
 
 from fixtures import (
     DATA,
@@ -303,6 +305,44 @@ def test_project_cptp_raises_when_no_restart_converges(max_iter):
         s_raw = np.array(json.load(fh)["cases"][0]["s_raw"])
     with pytest.raises(OptimizerError, match="^CPTP projection failed to converge in 2 restarts$"):
         project_cptp(s_raw, SIC, SIC, OptConfig(restarts=2, max_iter=max_iter))
+
+
+def test_batched_projection_matches_single_calls_in_each_layout():
+    # reconstruct_raw returns column-major arrays and np.array row-major
+    # ones; the layout moves the last bits of a projection, so each matrix
+    # of a batch keeps the arithmetic of its own layout
+    rng = np.random.default_rng(74)
+    s = kraus_to_pstoch(random_kraus_channel(rng, 2, 2), SIC, SIC)
+    a = reconstruct_raw(freq_from_counts(simulate_counts(s, SIC, shots=1024, seed=75)), SIC)
+    with open(DATA / "project_cptp_restarts2.json", encoding="utf-8") as fh:
+        b = np.array(json.load(fh)["cases"][1]["s_raw"])
+    assert a.flags.f_contiguous and not a.flags.c_contiguous and b.flags.c_contiguous
+    opt = OptConfig(restarts=2, seed=5)
+    for mats in ([a, b], [b, a]):
+        batched = _project_cptp_many(mats, SIC, SIC, opt)
+        single = [project_cptp(m, SIC, SIC, opt) for m in mats]
+        assert [x.tobytes() for x in batched] == [x.tobytes() for x in single]
+
+
+def test_batched_projection_raises_the_error_of_the_first_failing_matrix():
+    # the zero matrix's warm start V = 0 is stationary, so with one restart
+    # its trace operator is singular; the recorded input stalls at 3
+    # iterations a stage
+    zero = np.zeros((4, 4))
+    with open(DATA / "project_cptp_restarts2.json", encoding="utf-8") as fh:
+        noisy = np.array(json.load(fh)["cases"][0]["s_raw"])
+    singular = "^trace operator nearly singular after optimization"
+    stalled = "^CPTP projection failed to converge in {} restarts$"
+    opt = OptConfig(restarts=1, max_iter=3)
+    for mats, message in (([zero, noisy], singular), ([noisy, zero], stalled.format(1))):
+        with pytest.raises(OptimizerError, match=message):
+            _project_cptp_many(mats, SIC, SIC, opt)
+    # with a second restart the zero matrix projects, and the one after it
+    # still raises its own error
+    opt = OptConfig(restarts=2, max_iter=3)
+    _project_cptp_many([zero], SIC, SIC, opt)
+    with pytest.raises(OptimizerError, match=stalled.format(2)):
+        _project_cptp_many([zero, noisy], SIC, SIC, opt)
 
 
 def test_project_cptp_fixed_point():

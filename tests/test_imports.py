@@ -19,14 +19,16 @@ assert np.allclose(sp.prob_to_state(sp.state_to_prob(rho, sic), sic), rho)
 s = sp.kraus_to_pstoch([np.diag([1, 1j])], sic, sic)
 assert sp.is_cptp(s, sic, sic)[0]
 assert np.allclose(sp.choi_to_pstoch(sp.pstoch_to_choi(s, sic, sic), sic, sic), s)
-print(sorted(m for m in sys.modules if m.startswith(("scipy", "sicprob._framesearch"))))
+LAZY = ("scipy", "sicprob._framesearch", "sicprob._lbfgsb")
+print(sorted(m for m in sys.modules if m.startswith(LAZY)))
 """
 
 
 def test_conversions_do_not_load_scipy():
     # SciPy is imported by the functions that need a matrix function or an
-    # optimizer, and the frame search module by delta_quant_detail, so
-    # importing the package and converting stays cheap
+    # optimizer, the frame search module by delta_quant_detail and the
+    # L-BFGS-B driver by project_cptp, so importing the package and
+    # converting stays cheap
     src = pathlib.Path(sicprob.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 from sicprob._optim import OptConfig
+import sicprob.channels
 import sicprob.tomography
 from sicprob.channels import is_cptp, kraus_to_pstoch, project_cptp
-from sicprob.errors import NumericalDomainError
+from sicprob.errors import NumericalDomainError, OptimizerError
 from sicprob.linalg import mat_exp
 from sicprob.sic import builtin_qubit
 from sicprob.tomography import (
@@ -223,20 +225,44 @@ def test_run_pipeline_projects_each_matrix_once(monkeypatch):
     counts_main = simulate_counts(s_dec @ sg, SIC, shots=1024, seed=74)
     opt = OptConfig(restarts=2, seed=34)
     calls = []
+    project_many = sicprob.channels._project_cptp_many
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return project_cptp(*args, **kwargs)
+    def counting(mats, *args):
+        calls.append(len(mats))
+        return project_many(mats, *args)
 
-    monkeypatch.setattr(sicprob.tomography, "project_cptp", counting)
+    # the raw matrices in one batched call, then the divided-out chain
+    for module in (sicprob.channels, sicprob.tomography):
+        monkeypatch.setattr(module, "_project_cptp_many", counting)
     report = run_pipeline(counts_main, counts_cal, SIC, opt)
-    assert len(calls) == 3
+    assert calls == [2, 1]
     monkeypatch.undo()
     raw_cal, raw_main = report.cal.s_raw, report.main.s_raw
     cal_dec, cal_u = calibrate(raw_cal, raw_main, SIC, opt)
     assert np.array_equal(report.cal.s_cptp, cal_dec)
     assert np.array_equal(report.s_u, cal_u)
     assert np.array_equal(report.main.s_cptp, project_cptp(raw_main, SIC, SIC, opt))
+
+
+def test_pipeline_raises_what_the_cal_record_raises_alone():
+    # every penalty stage stops at 3 iterations, so both records fail; the
+    # batched projection reports the cal record's error, as projecting it
+    # first on its own does
+    a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(0.9)]], dtype=complex)
+    a1 = np.array([[0.0, np.sqrt(0.1)], [0.0, 0.0]], dtype=complex)
+    s_dec = kraus_to_pstoch([a0, a1], SIC, SIC)
+    counts_cal = simulate_counts(s_dec, SIC, shots=1024, seed=75)
+    counts_main = simulate_counts(s_dec, SIC, shots=1024, seed=76)
+    raw_cal = reconstruct_raw(freq_from_counts(counts_cal), SIC)
+    raw_main = reconstruct_raw(freq_from_counts(counts_main), SIC)
+    opt = OptConfig(restarts=2, max_iter=3)
+    with pytest.raises(OptimizerError) as alone:
+        project_cptp(raw_cal, SIC, SIC, opt)
+    message = f"^{re.escape(str(alone.value))}$"
+    with pytest.raises(OptimizerError, match=message):
+        run_pipeline(counts_main, counts_cal, SIC, opt)
+    with pytest.raises(OptimizerError, match=message):
+        calibrate(raw_cal, raw_main, SIC, opt)
 
 
 def test_run_pipeline_matches_recorded_outputs():
