@@ -312,10 +312,10 @@ def _project_cptp_many(mats, sic_in: SicPovm, sic_out: SicPovm, opt: OptConfig |
         fun_grad_many, np.array(starts), (1.0, 10.0, 100.0, 1000.0), opt.max_iter, _GRAD_TOL, 1e-14
     )
     out = []
-    for m in range(len(runs) // restarts):
+    for m in range(0, len(runs), restarts):
         best: tuple[float, np.ndarray] | None = None
         n_converged = 0
-        for x, f, g, _, success in runs[m * restarts : (m + 1) * restarts]:
+        for x, f, g, _, success in runs[m : m + restarts]:
             grad_inf = float(np.abs(g).max())
             if success or grad_inf <= 1e-5 * max(1.0, abs(f)):
                 n_converged += 1
