@@ -3,9 +3,11 @@
 Minimizes ``negativity(U L U^T)`` over the frame rotations
 ``U = exp(sum_i lam_i H_i)`` of a generator ``L``: a batched screen of
 frames built in closed form, a batched compass descent of the best of them,
-and an SLSQP refinement of the best distinct ones on the epigraph form of
-the minimax problem. ``measures`` checks the inputs and imports this module
-on the first search.
+and a Newton refinement of the best distinct ones on the minimax problem,
+every start a lane of one lock-step loop with exact commutator derivatives.
+NumPy only: the same steps, and the same bits, with any number of BLAS
+threads. ``measures`` checks the inputs and imports this module on the
+first search.
 """
 
 from __future__ import annotations
@@ -27,8 +29,30 @@ _DESCENT_STEP = 0.1
 _START_SEPARATION = 0.3
 # Fewest frames refined, whatever ``OptConfig.restarts`` asks for.
 _MIN_REFINED = 8
-# Central-difference step of the refinement's constraint Jacobian.
-_JAC_STEP = 1e-6
+# A lane has converged once its step promises less than this decrease.
+_CONVERGED = 1e-14
+# A lane stops after an accepted full step that promised less than this.
+_FINAL_GAIN = 1e-7
+# Sufficient decrease of the largest entry, as a share of the promised one.
+_ARMIJO = 1e-4
+# Backtracking gives up on a step below this share of the model's. The
+# model holds the linearization of every entry, so for a short enough step
+# the largest entry falls by about the promised share: a lane stops here
+# only when rounding hides the decrease.
+_MIN_ALPHA = 1e-3
+# Active-set passes of a round's model problem.
+_QP_PASSES = 24
+# An active entry leaves the set when its multiplier falls below -_MU_TOL.
+_MU_TOL = 1e-12
+# Newton steps that read ``lam`` back from a rotation at d >= 3, and the
+# residual rotation angle at which they stop.
+_LOG_ROUNDS = 8
+_LOG_TOL = 1e-15
+# Weight of the spread of the active gradients added to the model Hessian,
+# relative to the Hessian's entry sum over the spread's trace.
+_AUGMENT = 10.0
+# Least curvature of the reduced Hessian, relative to its largest.
+_CURVATURE_FLOOR = 1e-8
 # A refined start "agrees" when it ends this close to the best value.
 _AGREE_TOL = 1e-3
 
@@ -68,9 +92,13 @@ def _frame_rotations(lam: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def _rotated_off_diagonals(lmat: np.ndarray, basis: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Off-diagonal entries of ``U L U^T`` for every row of ``lam``."""
-    u = _frame_rotations(lam, basis)
-    rotated = (u @ lmat @ u.transpose(0, 2, 1)).reshape(len(u), -1)
+    rotated = _conjugate(lmat, _frame_rotations(lam, basis)).reshape(len(lam), -1)
     return rotated[:, _off_diagonal_index(len(lmat))]
+
+
+def _conjugate(lmat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``U L U^T`` for a stack of rotations: every frame the search scores."""
+    return u @ lmat @ u.transpose(0, 2, 1)
 
 
 def _rotated_negativities(lmat: np.ndarray, basis: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -144,73 +172,301 @@ def _spread_starts(lam: np.ndarray, neg: np.ndarray, count: int) -> np.ndarray:
     return np.array(picked + rest[: count - len(picked)])
 
 
-def _refine(lmat: np.ndarray, basis: np.ndarray, lam0: np.ndarray, t0: float, max_iter: int):
-    """SLSQP on the epigraph form of the minimax frame problem.
+def _refine(lmat: np.ndarray, basis: np.ndarray, lam0: np.ndarray, max_iter: int):
+    """Newton on the minimax KKT system, every start a lane of one loop.
 
-    Minimizes ``t`` over ``(lam, t)`` subject to ``t + (U L U^T)_ij >= 0``
-    for ``i != j`` and ``t >= 0``: a smooth problem whose solution is the
-    minimax frame. The constraint Jacobian is a central difference taken
-    for all coordinates in one batched call.
+    Each lane keeps its rotation ``U`` and works in local coordinates
+    ``exp(sum_i delta_i H_i) U``, where the derivatives of ``M = U L U^T``
+    are exact commutators: ``[H_i, M]`` and
+    ``([H_i, [H_j, M]] + [H_j, [H_i, M]]) / 2``. A round takes the entries
+    ``f_a = -M_a`` off the diagonal and the Hessian ``W`` of
+    ``sum mu_a f_a`` at the last multipliers, and steps each lane to the
+    solution of ``min t + delta^T B delta / 2`` subject to
+    ``f_a + grad f_a . delta <= t`` for every entry, where ``B`` is ``W``
+    made convex (``_model_inverse``). On the entries active there this is
+    Newton's method on ``f_a = t``, ``sum mu_a grad f_a + W delta = 0``,
+    ``sum mu_a = 1`` (Charalambous and Conn, SIAM J. Numer. Anal. 15, 162
+    (1978)). Steps backtrack on the largest entry. A lane stops when its
+    model promises no decrease, after a full step that promised almost
+    none, at a classical frame, or when backtracking fails. Returns the
+    final ``lam`` of each lane and the number of frames scored.
     """
-    import scipy.optimize
+    count, nlam = lam0.shape
+    off = _off_diagonal_index(len(lmat))
+    u = _frame_rotations(lam0, basis)
+    m = _conjugate(lmat, u)
+    evaluations = count
+    f = -m.reshape(count, -1)[:, off]
+    fmax = f.max(axis=1)
+    # the first guess at each active set: the nlam + 1 largest entries,
+    # which meet at a vertex of the model; the model step checks it
+    active = np.zeros(f.shape, dtype=bool)
+    np.put_along_axis(active, np.argsort(-f, axis=1)[:, : nlam + 1], True, axis=1)
+    mu = _largest(f).astype(float)
+    running = fmax > 0.0
+    for _ in range(max_iter):
+        lanes = np.flatnonzero(running)
+        if lanes.size == 0:
+            break
+        here = m[lanes, None]
+        comm = basis @ here - here @ basis
+        grad = -comm.reshape(lanes.size, nlam, -1)[:, :, off].transpose(0, 2, 1)
+        # sum_a mu_a d^2 f_a / d delta_i d delta_j, as <[H_i, mu], [H_j, M]>
+        # symmetrized (H_i is antisymmetric)
+        weights = np.zeros((lanes.size, off.size + len(lmat)))
+        weights[:, off] = mu[lanes]
+        weights = weights.reshape(here.shape)
+        hess = np.einsum("kiab,kjab->kij", basis @ weights - weights @ basis, comm)
+        inverse = _model_inverse(0.5 * (hess + hess.transpose(0, 2, 1)), grad, mu[lanes])
+        reach = inverse @ grad.transpose(0, 2, 1)
+        step, t_step, mu[lanes], active[lanes] = _model_step(
+            reach, grad @ reach, f[lanes], fmax[lanes], active[lanes]
+        )
+        gain = fmax[lanes] - t_step
+        live = gain > _CONVERGED
+        running[lanes[~live]] = False
+        lanes, step, gain = lanes[live], step[live], gain[live]
+        alpha = 1.0
+        while lanes.size:
+            u_try = _frame_rotations(alpha * step, basis) @ u[lanes]
+            m_try = _conjugate(lmat, u_try)
+            evaluations += lanes.size
+            f_try = -m_try.reshape(lanes.size, -1)[:, off]
+            fmax_try = f_try.max(axis=1)
+            accept = fmax_try <= fmax[lanes] - _ARMIJO * alpha * gain
+            moved = lanes[accept]
+            u[moved], m[moved], f[moved], fmax[moved] = (
+                u_try[accept], m_try[accept], f_try[accept], fmax_try[accept]
+            )
+            # a full step that promised almost nothing leaves a gap of the
+            # order of its square
+            finished = fmax_try[accept] <= 0.0
+            if alpha == 1.0:
+                finished |= gain[accept] <= _FINAL_GAIN
+            running[moved[finished]] = False
+            keep = ~accept
+            if alpha < _MIN_ALPHA:
+                running[lanes[keep]] = False
+                break
+            lanes, step, gain = lanes[keep], step[keep], gain[keep]
+            alpha *= 0.5
+    return _frame_log(u, basis, lam0), evaluations
 
-    nlam = lam0.size
-    # the point itself, then one step forward and one back along each axis
-    stencil = _JAC_STEP * np.concatenate([np.zeros((1, nlam)), np.eye(nlam), -np.eye(nlam)])
-    last: dict = {}
 
-    def off_diagonals(x: np.ndarray) -> np.ndarray:
-        # SLSQP asks for the margins and then their Jacobian at the same
-        # point; one batched call serves both
-        key = x.tobytes()
-        if last.get("key") != key:
-            last["key"] = key
-            last["off"] = _rotated_off_diagonals(lmat, basis, x[:-1] + stencil)
-        return last["off"]
+def _model_inverse(hess, grad, mu):
+    """``B^-1`` for the convex model Hessian ``B`` of each lane.
 
-    def margins(x: np.ndarray) -> np.ndarray:
-        return x[-1] + off_diagonals(x)[0]
-
-    def margins_jac(x: np.ndarray) -> np.ndarray:
-        off = off_diagonals(x)
-        slope = (off[1 : nlam + 1] - off[nlam + 1 :]).T / (2 * _JAC_STEP)
-        return np.hstack([slope, np.ones((len(slope), 1))])
-
-    grad_t = np.zeros(nlam + 1)
-    grad_t[-1] = 1.0
-    res = scipy.optimize.minimize(
-        lambda x: x[-1],
-        np.append(lam0, t0),
-        jac=lambda x: grad_t,
-        method="SLSQP",
-        bounds=[(None, None)] * nlam + [(0.0, None)],
-        constraints={"type": "ineq", "fun": margins, "jac": margins_jac},
-        options={"maxiter": max_iter, "ftol": 1e-12},
-    )
-    return res.x[:-1]
+    ``B`` is ``W`` plus a multiple of the spread of the gradients about
+    their mean, both weighted by the multipliers ``mu``. That term vanishes
+    on the steps that keep every entry with ``mu_a > 0`` equal, so a step
+    on an active set that holds those entries is unchanged (the
+    multipliers absorb the difference), and it makes ``B`` positive
+    definite wherever the reduced Hessian is, as it is near a minimum. The
+    negative curvature left elsewhere is flipped, and tiny curvature
+    floored.
+    """
+    centred = grad - np.einsum("ka,kaj->kj", mu, grad)[:, None]
+    spread = np.einsum("kai,kaj->kij", centred * mu[:, :, None], centred)
+    size = np.abs(hess).sum(axis=(1, 2))
+    trace = np.einsum("kii->k", spread)
+    weight = _AUGMENT * size / np.where(trace > 0.0, trace, 1.0)
+    curv, vec = np.linalg.eigh(hess + weight[:, None, None] * spread)
+    curv = np.abs(curv)
+    curv = np.maximum(curv, _CURVATURE_FLOOR * curv.max(axis=1, keepdims=True) + 1e-300)
+    return (vec / curv[:, None, :]) @ vec.transpose(0, 2, 1)
 
 
-def search(lmat: np.ndarray, basis: np.ndarray, opt: OptConfig) -> tuple[float, np.ndarray, int]:
-    """``(value, lam, agreeing)`` of the best frame for a checked generator.
+def _model_step(reach, gram, f, fmax, active):
+    """Each lane's solution of its model problem, by active sets.
+
+    ``reach`` is ``B^-1 G^T`` and ``gram`` is ``G B^-1 G^T`` over the
+    gradients ``G`` of every entry, so a choice of multipliers ``mu`` gives
+    the step ``delta = -reach mu`` and ``G delta = -gram mu``. A primal
+    active-set method (Nocedal and Wright, Numerical Optimization,
+    Algorithm 16.3), run on all lanes at once. It starts from the solution
+    on ``active`` if that meets every constraint, and otherwise from
+    ``delta = 0``, ``t = max f`` with the largest entry active. Each pass
+    solves the equality problem on the active set and moves toward its
+    solution, up to the first constraint that blocks, which joins the set;
+    at the solution the entry with the most negative multiplier leaves it,
+    until none is negative. Returns ``delta``, ``t``, the multipliers of
+    every entry and the final active set.
+    """
+    step, t, mult = _equality_step(reach, gram, f, active)
+    lin = -_mv(gram, mult)  # G delta
+    fits = (f + lin <= t[:, None] + _MU_TOL).all(axis=1)
+    work = active
+    if not fits.all() or mult.min() < -_MU_TOL:
+        step, t, mult, work = _active_set(reach, gram, f, fmax, active, step, t, mult, lin, fits)
+    mult = np.maximum(mult, 0.0) * work
+    return step, t, mult / mult.sum(axis=1, keepdims=True), work
+
+
+def _active_set(reach, gram, f, fmax, active, step, t, mult, lin, fits):
+    """The passes of ``_model_step`` for lanes whose first guess failed."""
+    lanes = len(f)
+    every = np.arange(lanes)
+    step[~fits], lin[~fits] = 0.0, 0.0
+    t = np.where(fits, t, fmax)
+    work = np.where(fits[:, None], active, _largest(f))
+    at_target = fits  # lanes at their equality solution, multipliers known
+    pending = np.ones(lanes, dtype=bool)
+    for _ in range(_QP_PASSES):
+        worst = np.where(work, mult, np.inf).argmin(axis=1)
+        pending &= ~(at_target & (mult[every, worst] >= -_MU_TOL))
+        if not pending.any():
+            break
+        drop = at_target & pending
+        work[drop, worst[drop]] = False
+        target, target_t, target_mult = _equality_step(reach, gram, f, work)
+        target_lin = -_mv(gram, target_mult)
+        slope = target_lin - lin - (target_t - t)[:, None]
+        blocks = ~work & (slope > 0.0)
+        room = np.maximum(t[:, None] - f - lin, 0.0)
+        ratio = np.where(blocks, room / np.where(blocks, slope, 1.0), np.inf)
+        first = ratio.argmin(axis=1)
+        alpha = np.where(pending, np.minimum(1.0, ratio[every, first]), 0.0)
+        step += alpha[:, None] * (target - step)
+        lin += alpha[:, None] * (target_lin - lin)
+        t += alpha * (target_t - t)
+        blocked = pending & (alpha < 1.0)
+        work[blocked, first[blocked]] = True
+        mult = np.where(pending[:, None], target_mult, mult)
+        at_target = pending & ~blocked
+    return step, t, mult, work
+
+
+def _equality_step(reach, gram, f, work):
+    """``delta``, ``t`` and multipliers of each lane's equality problem.
+
+    ``min t + delta^T B delta / 2`` subject to ``f_a + grad f_a . delta = t``
+    on the active entries. With ``delta = -B^-1 sum_a mu_a grad f_a`` the
+    multipliers and ``t`` solve ``S mu + t = f``, ``sum mu = 1``, where
+    ``S`` is ``gram`` on the active entries; lanes are padded to one size
+    with rows that fix their multipliers at zero. Multipliers come back
+    for every entry, zero off the active set.
+    """
+    lanes = len(f)
+    width = int(work.sum(axis=1).max())
+    idx = np.argsort(~work, axis=1, kind="stable")[:, :width]
+    rows = np.arange(lanes)[:, None]
+    valid = work[rows, idx]
+    system = np.zeros((lanes, width + 1, width + 1))
+    both = valid[:, :, None] & valid[:, None, :]
+    block = gram[rows[:, :, None], idx[:, :, None], idx[:, None, :]]
+    system[:, :width, :width] = np.where(both, block, 0.0) + np.eye(width) * ~valid[:, None, :]
+    system[:, :width, width] = valid
+    system[:, width, :width] = valid
+    rhs = np.ones((lanes, width + 1))
+    rhs[:, :width] = np.where(valid, f[rows, idx], 0.0)
+    try:
+        sol = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        # two active entries with equal values and gradients, which
+        # symmetric generators can have: the least-norm solution splits
+        # their multiplier
+        sol = _mv(np.linalg.pinv(system), rhs)
+    mult = np.zeros(f.shape)
+    mult[rows, idx] = np.where(valid, sol[:, :width], 0.0)
+    return -_mv(reach, mult), sol[:, width], mult
+
+
+def _largest(f: np.ndarray) -> np.ndarray:
+    """Mask of each row's largest entry, the first one on a tie."""
+    mask = np.zeros(f.shape, dtype=bool)
+    mask[np.arange(len(f)), f.argmax(axis=1)] = True
+    return mask
+
+
+def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products."""
+    return (mat @ vec[..., None])[..., 0]
+
+
+def _frame_log(u: np.ndarray, basis: np.ndarray, lam_near: np.ndarray) -> np.ndarray:
+    """``lam`` with ``exp(sum_i lam_i H_i) = U`` for a stack of rotations.
+
+    For the qubit, the inverse of Rodrigues' formula: the antisymmetric
+    part of ``U`` is ``sin(theta) / theta`` times the generator, and
+    ``tr U = 2 + 2 cos(theta)``. Larger frames have rotations whose
+    principal logarithm lies outside the span of the basis (the clock
+    frame at d=3, say), so Newton's method on the exponential takes each
+    ``lam`` from ``lam_near``, a nearby frame's parameters: the residual
+    rotation ``U exp(-sum_i lam_i H_i)`` is close to the identity, where
+    its real logarithm follows from an eigendecomposition, and the
+    derivative of the exponential at ``lam`` is ``phi(ad B)`` with
+    ``phi(z) = (e^z - 1) / z``.
+    """
+    nlam, n, _ = basis.shape
+    norms = np.einsum("iab,iab->i", basis, basis)
+    if n == 4:
+        anti = 0.5 * (u - u.transpose(0, 2, 1))
+        sin = np.sqrt(0.5 * np.einsum("kab,kab->k", anti, anti))
+        theta = np.arctan2(sin, 0.5 * np.einsum("kaa->k", u) - 1.0)
+        ratio = np.where(sin > 0.0, theta / np.where(sin > 0.0, sin, 1.0), 1.0)
+        return ratio[:, None] * np.einsum("iab,kab->ki", basis, anti) / norms
+    # [H_l, H_j] = sum_i structure[i, l, j] H_i
+    prod = np.einsum("lab,jbc->ljac", basis, basis)
+    structure = np.einsum("iac,ljac->ilj", basis, prod - prod.transpose(1, 0, 2, 3))
+    structure /= norms[:, None, None]
+    lam = lam_near.copy()
+    for _ in range(_LOG_ROUNDS):
+        rest = u @ _frame_rotations(lam, basis).transpose(0, 2, 1)
+        omega = np.einsum("iab,kab->ki", basis, _rotation_log(rest)) / norms
+        if np.abs(omega).max() <= _LOG_TOL:
+            break
+        # ad B = v diag(z) v^H with z = -i w
+        w, v = np.linalg.eigh(1j * np.einsum("kl,ilj->kij", lam, structure))
+        z = -1j * w
+        small = np.abs(z) < 1e-8
+        factor = np.where(small, 1.0 - 0.5 * z, z / np.where(small, 1.0, np.expm1(z)))
+        along = factor * np.einsum("kji,kj->ki", v.conj(), omega)
+        lam = lam + np.einsum("kij,kj->ki", v, along).real
+    return lam
+
+
+def _rotation_log(w: np.ndarray) -> np.ndarray:
+    """Principal real logarithm of a stack of rotations.
+
+    The symmetric part ``S`` and antisymmetric part ``A`` of a rotation
+    commute, and ``log W = f(S) A`` with ``f(cos phi) = phi / sin phi`` on
+    each eigenspace of ``S``; exact while no eigenvalue of ``W`` is -1.
+    """
+    cos, vec = np.linalg.eigh(0.5 * (w + w.transpose(0, 2, 1)))
+    cos = np.clip(cos, -1.0, 1.0)
+    sin = np.sqrt(1.0 - cos * cos)
+    near = sin < 1e-6
+    ratio = np.where(near, 1.0 + (1.0 - cos) / 3.0, np.arccos(cos) / np.where(near, 1.0, sin))
+    anti = 0.5 * (w - w.transpose(0, 2, 1))
+    return (vec * ratio[:, None, :]) @ vec.transpose(0, 2, 1) @ anti
+
+
+def search(
+    lmat: np.ndarray, basis: np.ndarray, opt: OptConfig
+) -> tuple[float, np.ndarray, int, int]:
+    """``(value, lam, agreeing, evaluations)`` of the best frame.
 
     ``agreeing`` counts the refined starts that end within ``_AGREE_TOL``
-    of the best value.
+    of the best value; ``evaluations`` counts every frame scored.
     """
     nlam = basis.shape[0]
     refine = max(opt.restarts, _MIN_REFINED)
 
     lam = _screen(math.isqrt(len(lmat)), nlam, opt.seed)
     neg = _rotated_negativities(lmat, basis, lam)
+    evaluations = len(lam)
     step = np.full(len(lam), _DESCENT_STEP)
     for keep, steps in _DESCENT:
         top = np.argsort(neg, kind="stable")[: max(keep, refine)]
         lam, neg, step = _descend(lmat, basis, lam[top], neg[top], step[top], steps)
+        evaluations += len(lam) * 2 * nlam * steps
     starts = _spread_starts(lam, neg, refine)
-    refined = np.array([_refine(lmat, basis, lam[k], neg[k], opt.max_iter) for k in starts])
+    refined, used = _refine(lmat, basis, lam[starts], opt.max_iter)
     refined_neg = _rotated_negativities(lmat, basis, refined)
+    evaluations += used + len(refined)
     better = refined_neg <= neg[starts]  # False for a NaN end
     lam_end = np.where(better[:, None], refined, lam[starts])
     neg_end = np.where(better, refined_neg, neg[starts])
     best = int(np.argmin(neg_end))
     agreeing = int(np.count_nonzero(neg_end <= neg_end[best] + _AGREE_TOL))
-    return float(neg_end[best]), lam_end[best], agreeing
+    return float(neg_end[best]), lam_end[best], agreeing, evaluations

@@ -12,9 +12,10 @@ class OptConfig:
     """Knobs shared by every optimizer-backed operation.
 
     restarts : number of independent starts of ``project_cptp`` (the first
-    uses the unperturbed warm start) and of the SLSQP refinements of the
+    uses the unperturbed warm start) and of the refined starts of the
     ``delta_quant`` frame search (never fewer than 8 there); max_iter :
-    iteration cap of every local solve, and of the ADMM iteration of
+    iteration cap of every local solve (the rounds of the frame search's
+    Newton refinement among them), and of the ADMM iteration of
     ``project_mark``, an exact convex solve that reads nothing else; seed :
     base RNG seed, restart ``k`` of ``project_cptp`` uses ``seed + k`` and
     the frame search seeds its screen with it. Stopping tolerances are

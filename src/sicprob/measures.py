@@ -75,11 +75,17 @@ def negativity(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DeltaQuantReport:
-    """Best frame found by the nonclassicality search."""
+    """Best frame found by the nonclassicality search.
+
+    ``evaluations`` counts the frames the search scored: the screen, every
+    descent trial, the start and every trial step of each refined lane, and
+    the lanes' final frames.
+    """
 
     value: float
     lam: np.ndarray
     restarts_agreeing: int
+    evaluations: int = 0
 
 
 def delta_quant_detail(
@@ -100,10 +106,13 @@ def delta_quant_detail(
        best 64 of those ten more, so that the frames rank by the depth of
        their basin.
     3. The best ``max(opt.restarts, 8)`` descended frames that lie apart
-       are refined one by one with SLSQP on the epigraph form ``min t``
-       subject to ``t + (U L U^T)_ij >= 0`` (``i != j``), ``t >= 0``, which
-       converges to the minimax frame itself, in at most ``opt.max_iter``
-       iterations. A refined start never ends above its descended value.
+       are refined together, as lanes of one loop of at most
+       ``opt.max_iter`` rounds, by Newton's method on the minimax problem
+       ``min t`` subject to ``t + (U L U^T)_ij >= 0`` (``i != j``): exact
+       commutator derivatives of ``U L U^T``, an active-set model problem
+       per lane, and a backtracking step on the largest negativity. The
+       lanes converge to the minimax frames themselves, and a refined
+       start never ends above its descended value.
 
     ``restarts_agreeing`` counts the refined starts that end within 1e-3 of
     the best. The reported value is an upper bound of the true infimum;
@@ -137,8 +146,10 @@ def delta_quant_detail(
     # when a search runs and `import sicprob` stays cheap
     from ._framesearch import search
 
-    value, lam, agreeing = search(lmat, basis, opt)
-    return DeltaQuantReport(value=value, lam=lam, restarts_agreeing=agreeing)
+    value, lam, agreeing, evaluations = search(lmat, basis, opt)
+    return DeltaQuantReport(
+        value=value, lam=lam, restarts_agreeing=agreeing, evaluations=evaluations
+    )
 
 
 def delta_quant(

@@ -1,16 +1,21 @@
 """The ``run_pipeline`` cases pinned by ``tests/data/run_pipeline_restarts2.json``.
 
-Run as a script, with BLAS on one thread as the benchmark runs it, this
-prints the outputs of every case as JSON: the SLSQP refinement of the frame
-search depends in its last bits on the BLAS thread count. To re-record the
+Run as a script, this prints the outputs of every case as JSON. The frame
+search gives the same bits with any number of BLAS threads; the script is
+run with BLAS on one thread, as the benchmark runs it. To re-record the
 file (only when the library is meant to change its outputs), run
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \\
         PYTHONPATH=src python3 tests/pipeline_cases.py \\
         > tests/data/run_pipeline_restarts2.json
+
+and ``python3 tests/pipeline_cases.py --diff FIXTURE`` to list, as
+``case/analysis/key``, each output that differs from a recorded file (exit
+status 1 if any does).
 """
 
 import json
+import sys
 
 import numpy as np
 
@@ -67,5 +72,25 @@ def outputs(gamma, process, seed_cal, seed_main) -> dict:
     return out
 
 
+def differences(got: dict, recorded: dict) -> list[str]:
+    """``case/analysis/key`` (or ``case/key``) of every output that differs."""
+    out = []
+    for k, (case, rec) in enumerate(zip(got["cases"], recorded["cases"], strict=True)):
+        for key in sorted(case.keys() | rec.keys()):
+            new, old = case.get(key), rec.get(key)
+            if isinstance(new, dict) and isinstance(old, dict):
+                keys = sorted(new.keys() | old.keys())
+                out += [f"{k}/{key}/{sub}" for sub in keys if new.get(sub) != old.get(sub)]
+            elif new != old:
+                out.append(f"{k}/{key}")
+    return out
+
+
 if __name__ == "__main__":
-    print(json.dumps({"cases": [outputs(*case) for case in CASES]}, indent=1))
+    result = {"cases": [outputs(*case) for case in CASES]}
+    if sys.argv[1:2] == ["--diff"]:
+        with open(sys.argv[2], encoding="utf-8") as fh:
+            changed = differences(result, json.load(fh))
+        print("\n".join(changed))
+        sys.exit(1 if changed else 0)
+    print(json.dumps(result, indent=1))

@@ -62,3 +62,29 @@ def test_setup_does_not_load_hashlib():
     )  # fmt: skip
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# A fresh interpreter: analyze a qubit evolution and list the optimizer
+# modules loaded.
+ANALYZE_SCRIPT = """
+import sys
+import numpy as np
+import sicprob as sp
+
+sic = sp.builtin_qubit()
+s = sp.kraus_to_pstoch([np.diag([1, np.exp(0.4j)])], sic, sic)
+sp.analyze_evolution(0.98 * s + 0.02 * np.eye(4), sic, sp.OptConfig(restarts=2))
+print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+"""
+
+
+def test_analysis_does_not_load_scipy_optimize():
+    # the frame search and project_mark are SciPy-free; scipy.linalg still
+    # serves logm and expm
+    src = pathlib.Path(sicprob.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", ANALYZE_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

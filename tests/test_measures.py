@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sicprob import _framesearch
 from sicprob._framesearch import _frame_rotations, _rotated_off_diagonals
 from sicprob._optim import OptConfig
 from sicprob.dynamics import (
@@ -156,14 +157,32 @@ def test_batched_rotations_match_expm(dim):
 
 def test_delta_quant_no_worse_than_recorded_search():
     # 48 generators of the benchmark's tomo_d2_r2 workload (seed 0), with the
-    # values the restarted Nelder-Mead search returned for them; the
-    # screen-and-refine search may only match or beat each one
+    # values the restarted Nelder-Mead search and then the screen, descent
+    # and SLSQP search returned for them; the search may only match or
+    # beat each one, the second to within rounding
     with open(DATA / "delta_quant_tomo_d2_r2_seed0.json", encoding="utf-8") as fh:
         record = json.load(fh)
     opt = OptConfig(**record["opt"])
     b = basis_hunit(SIC)
+    values = [delta_quant(np.array(g), b, opt) for g in record["generators"]]
+    assert len(values) == len(record["delta_quant"]) == len(record["delta_quant_slsqp"]) == 48
+    for new, nelder_mead, slsqp in zip(values, record["delta_quant"], record["delta_quant_slsqp"]):
+        assert new <= nelder_mead + 1e-6
+        assert new <= slsqp + 1e-9
+
+
+def test_qutrit_delta_quant_no_worse_than_recorded_search():
+    # 8 seeded qutrit GKSL generators with the values of the screen, descent
+    # and SLSQP search at restarts=8
+    with open(DATA / "delta_quant_qutrit_restarts8.json", encoding="utf-8") as fh:
+        record = json.load(fh)
+    opt = OptConfig(**record["opt"])
+    b = basis_hunit(load_d3())
     for g, old in zip(record["generators"], record["delta_quant"], strict=True):
-        assert delta_quant(np.array(g), b, opt) <= old + 1e-6
+        rep = delta_quant_detail(np.array(g), b, opt)
+        assert rep.value <= old + 1e-6
+        u = mat_exp(np.einsum("i,iab->ab", rep.lam, b))
+        assert rep.value == pytest.approx(negativity(u @ np.array(g) @ u.T), abs=1e-12)
 
 
 def test_delta_quant_refines_at_least_eight_starts():
@@ -177,6 +196,35 @@ def test_delta_quant_refines_at_least_eight_starts():
         assert rep.restarts_agreeing == refined
         u = mat_exp(np.einsum("i,iab->ab", rep.lam, b))
         assert rep.value == pytest.approx(negativity(u @ g @ u.T), abs=1e-12)
+
+
+def test_delta_quant_counts_every_frame_scored(monkeypatch):
+    # every frame the search scores passes through _conjugate once
+    b = basis_hunit(SIC)
+    g = hgen_from_hamiltonian(SZ, SIC) + lgen_from_gksl(
+        GkslSpec(2, np.zeros((2, 2)), (0.4 * SZ + 0.2j * np.eye(2)[::-1],)), SIC
+    ).matrix
+    conjugate = _framesearch._conjugate
+    scored = []
+
+    def counting(lmat, u):
+        scored.append(len(u))
+        return conjugate(lmat, u)
+
+    monkeypatch.setattr(_framesearch, "_conjugate", counting)
+    # the screen, then 2 steps of 256 frames and 10 of 64 frames, each
+    # trying 2 moves along each of the 3 coordinates
+    before_refining = 1024 + 6 * (256 * 2 + 64 * 10)
+    for restarts, refined in ((1, 8), (12, 12)):
+        counts = []
+        for _ in range(2):
+            scored.clear()
+            rep = delta_quant_detail(g, b, OptConfig(restarts=restarts, seed=3))
+            assert rep.evaluations == sum(scored)
+            counts.append(rep.evaluations)
+        assert counts[0] == counts[1]
+        # each start's frame, at least one trial step, and the final frames
+        assert counts[0] >= before_refining + 3 * refined
 
 
 def test_delta_quant_zero_for_classical_generator():

@@ -294,6 +294,25 @@ def test_run_pipeline_matches_recorded_outputs():
             assert an["quant_value"] == want["quant_value"]
 
 
+def test_run_pipeline_frames_do_not_depend_on_blas_threads():
+    # the frame search takes the same steps with one BLAS thread and with two
+    tests = pathlib.Path(__file__).resolve().parent
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, str(tests / "pipeline_cases.py")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )  # fmt: skip
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout)["cases"])
+    for one, two in zip(*runs, strict=True):
+        for name in ("analysis_u", "analysis_cal"):
+            assert one[name]["lam"] == two[name]["lam"]
+            assert one[name]["quant_value"] == two[name]["quant_value"]
+
+
 def test_run_pipeline_rejects_mismatched_counts():
     c1 = CountsRecord(dim=2, shots=10, counts=np.array([[10, 0, 0, 0]] * 4))
     c2 = CountsRecord(dim=2, shots=20, counts=np.array([[20, 0, 0, 0]] * 4))
