@@ -267,40 +267,31 @@ def _project_cptp_many(mats, sic_in: SicPovm, sic_out: SicPovm, opt: OptConfig |
     theta = _theta_stack(sic_in, sic_out, sig)
     eye = np.eye(d)
     restarts = max(1, opt.restarts)
-    starts, s_lanes, cols = [], [], []
+    starts, s_lanes = [], []
     for s_raw in mats:
-        s_raw = np.asarray(s_raw, dtype=float)
+        # read column-major, as reconstruct_raw returns it, so the last bits
+        # of the output do not depend on the layout passed
+        s_raw = np.asfortranarray(s_raw, dtype=float)
         if s_raw.shape != (n, n):
             raise ValueError(f"matrix shape {s_raw.shape}, expected ({n}, {n})")
         _require_finite(s_raw, "channel matrix")
-        # the warm start and the summation order of the residual follow the
-        # layout of s_raw as passed, so a lane keeps its matrix transposed if
-        # s_raw is column-major (as reconstruct_raw's output is)
         v_start = _kraus_coeffs_from_choi(_choi(s_raw, sic_in, sic_out), d, sig)
         x_start = np.concatenate([v_start.real.ravel(), v_start.imag.ravel()])
         starts.append(x_start)
         for k in range(1, restarts):
             rng = np.random.default_rng(opt.seed + k)
             starts.append(x_start + 0.3 * rng.standard_normal(x_start.shape))
-        col = abs(s_raw.strides[0]) < abs(s_raw.strides[1])
-        s_lanes += [s_raw.T if col else s_raw] * restarts
-        cols += [col] * restarts
-    s_lanes, cols, mixed = np.array(s_lanes), np.array(cols), len(set(cols)) > 1
+        s_lanes += [s_raw.T] * restarts
+    s_lanes = np.array(s_lanes)
 
     def fun_grad_many(x: np.ndarray, mu: np.ndarray, lanes: np.ndarray):
-        col = cols[lanes]
-        if mixed and col.any() and not col.all():  # both layouts: one evaluation each
-            f, g = np.empty(len(x)), np.empty_like(x)
-            for sel in (~col, col):
-                f[sel], g[sel] = fun_grad_many(x[sel], mu[sel], lanes[sel])
-            return f, g
         v = (x[:, : n * n] + 1j * x[:, n * n :]).reshape(-1, n, n)
         p = v @ v.conj().transpose(0, 2, 1)
         s_model = np.einsum("kij,ijab->kab", p, theta).real
-        resid = (s_model.transpose(0, 2, 1) if col[0] else s_model) - s_lanes[lanes]
+        resid = s_model.transpose(0, 2, 1) - s_lanes[lanes]
         t_dev = _tp_operator(p, sig) - eye
         f = (resid**2).sum(axis=(1, 2)) + mu * (np.abs(t_dev) ** 2).sum(axis=(1, 2))
-        w = np.einsum("kba,ijab->kij" if col[0] else "kab,ijab->kij", 2.0 * resid, theta)
+        w = np.einsum("kba,ijab->kij", 2.0 * resid, theta)
         w += (2.0 * mu)[:, None, None] * np.einsum("kab,ibc,jca->kji", t_dev, sig, sig)
         a = (w.transpose(0, 2, 1) + w.conj()) / 2
         av = (a @ v).reshape(len(x), -1)

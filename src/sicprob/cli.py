@@ -241,40 +241,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--sic",
+    options = {
+        "--sic": dict(
             default="builtin-qubit",
             help="reference SIC: 'builtin-qubit' or 'fiducial:PATH' (JSON fiducial vector)",
-        )
-        p.add_argument("--seed", type=int, default=0, help="base seed for all optimizers")
-        p.add_argument(
-            "--tol", type=float, default=1e-9, help="tolerance for physicality checks"
-        )
-        p.add_argument(
-            "--restarts", type=int, default=None, help="optimizer restarts override"
-        )
-        p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        p.add_argument("--csv", default=None, help="also write matrices as long-format CSV")
+        ),
+        "--seed": dict(type=int, default=0, help="base seed for all optimizers"),
+        "--tol": dict(type=float, default=1e-9, help="tolerance for physicality checks"),
+        "--restarts": dict(type=int, default=None, help="optimizer restarts override"),
+        "--out": dict(default=None, help="write JSON here instead of stdout"),
+        "--csv": dict(default=None, help="also write matrices as long-format CSV"),
+    }
+
+    def add_options(p: argparse.ArgumentParser, *names: str) -> None:
+        for name in names:
+            p.add_argument(name, **options[name])
 
     p_convert = sub.add_parser(
         "convert", help="convert states and channels to or from probability form"
     )
     p_convert.add_argument("input", help="JSON file: density matrix, prob vector or Kraus channel")
-    common(p_convert)
+    add_options(p_convert, "--sic", "--tol", "--out")
     p_convert.set_defaults(fn=_cmd_convert)
 
     p_analyze = sub.add_parser(
         "analyze", help="extract the generator of a channel matrix and score it"
     )
     p_analyze.add_argument("input", help="JSON file: pseudostochastic matrix")
-    common(p_analyze)
+    add_options(p_analyze, "--sic", "--seed", "--restarts", "--out", "--csv")
     p_analyze.set_defaults(fn=_cmd_analyze)
 
     p_tomo = sub.add_parser("tomo", help="reconstruct a process from two counts files")
     p_tomo.add_argument("--main", required=True, help="counts JSON for the full chain")
     p_tomo.add_argument("--cal", required=True, help="counts JSON for the calibration chain")
-    common(p_tomo)
+    add_options(p_tomo, "--sic", "--seed", "--restarts", "--out", "--csv")
     p_tomo.set_defaults(fn=_cmd_tomo)
     return parser
 

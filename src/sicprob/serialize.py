@@ -235,8 +235,11 @@ def load_counts(obj: dict) -> CountsRecord:
     raw = obj.get("counts")
     try:
         counts = np.array(raw, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
+        integral = np.array_equal(counts, np.array(raw, dtype=float))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError("'counts' must be a nested list of integers") from exc
+    if not integral:
+        raise ValueError("'counts' must be a nested list of integers, got fractional entries")
     if counts.shape != (n, n):
         raise ValueError(f"'counts' has shape {counts.shape}, expected ({n}, {n})")
     return CountsRecord(dim=d, shots=shots, counts=counts)

@@ -83,11 +83,13 @@ def prob_to_state(p: np.ndarray, s: SicPovm) -> np.ndarray:
 def qplex_membership(p: np.ndarray, s: SicPovm, tol: float = 1e-9) -> bool:
     """Whether ``p`` is the SIC distribution of some positive state.
 
-    Exact test by reconstruction: true iff the operator rebuilt from ``p``
-    has minimum eigenvalue ``>= -tol``. Assumes ``p`` sums to 1. Raises
-    ValueError, rather than answering, for non-finite entries.
+    Exact test by reconstruction: true iff ``p`` sums to 1 within ``tol``
+    and the operator rebuilt from ``p`` has minimum eigenvalue ``>= -tol``.
+    Raises ValueError, rather than answering, for non-finite entries.
     """
     rho = prob_to_state(p, s)
+    if abs(np.sum(p) - 1.0) > tol:
+        return False
     rho = (rho + rho.conj().T) / 2
     return bool(np.linalg.eigvalsh(rho).min() >= -tol)
 

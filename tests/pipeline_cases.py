@@ -10,8 +10,9 @@ file (only when the library is meant to change its outputs), run
         > tests/data/run_pipeline_restarts2.json
 
 and ``python3 tests/pipeline_cases.py --diff FIXTURE`` to list, as
-``case/analysis/key``, each output that differs from a recorded file (exit
-status 1 if any does).
+``case/analysis/key`` followed by the largest absolute difference of its
+entries, each output that differs from a recorded file (exit status 1 if any
+does).
 """
 
 import json
@@ -72,17 +73,27 @@ def outputs(gamma, process, seed_cal, seed_main) -> dict:
     return out
 
 
+def _largest_difference(new, old) -> float:
+    """Largest absolute entry difference, NaN if the shapes do not match."""
+    try:
+        return float(np.abs(np.subtract(new, old, dtype=float)).max())
+    except (TypeError, ValueError):
+        return float("nan")
+
+
 def differences(got: dict, recorded: dict) -> list[str]:
-    """``case/analysis/key`` (or ``case/key``) of every output that differs."""
+    """``case/analysis/key`` (or ``case/key``) of every output that differs,
+    each followed by the largest absolute difference of its entries."""
     out = []
     for k, (case, rec) in enumerate(zip(got["cases"], recorded["cases"], strict=True)):
         for key in sorted(case.keys() | rec.keys()):
             new, old = case.get(key), rec.get(key)
             if isinstance(new, dict) and isinstance(old, dict):
-                keys = sorted(new.keys() | old.keys())
-                out += [f"{k}/{key}/{sub}" for sub in keys if new.get(sub) != old.get(sub)]
-            elif new != old:
-                out.append(f"{k}/{key}")
+                subs = sorted(new.keys() | old.keys())
+                pairs = [(f"{k}/{key}/{sub}", new.get(sub), old.get(sub)) for sub in subs]
+            else:
+                pairs = [(f"{k}/{key}", new, old)]
+            out += [f"{name}  {_largest_difference(a, b):.3e}" for name, a, b in pairs if a != b]
     return out
 
 

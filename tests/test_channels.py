@@ -287,8 +287,9 @@ def test_project_cptp_matches_recorded_outputs():
     # project_cptp's arithmetic is pinned bit for bit: raw reconstructions
     # of 1024-shot counts of random qubit channels, and the outputs that
     # were recorded before its channel basis moved into the per-SIC cache.
-    # The inputs are C-ordered arrays, as np.array makes them here: the last
-    # bits of the output depend on the memory layout of the input.
+    # The inputs are C-ordered arrays, as np.array makes them here; the
+    # outputs are those of their column-major copies, which project_cptp
+    # reads in any layout.
     with open(DATA / "project_cptp_restarts2.json", encoding="utf-8") as fh:
         cases = json.load(fh)["cases"]
     assert len(cases) == 6
@@ -308,20 +309,40 @@ def test_project_cptp_raises_when_no_restart_converges(max_iter):
 
 
 def test_batched_projection_matches_single_calls_in_each_layout():
-    # reconstruct_raw returns column-major arrays and np.array row-major
-    # ones; the layout moves the last bits of a projection, so each matrix
-    # of a batch keeps the arithmetic of its own layout
-    rng = np.random.default_rng(74)
-    s = kraus_to_pstoch(random_kraus_channel(rng, 2, 2), SIC, SIC)
-    a = reconstruct_raw(freq_from_counts(simulate_counts(s, SIC, shots=1024, seed=75)), SIC)
+    # project_cptp reads every matrix column-major, so a row-major copy, a
+    # column-major copy and a strided view of a matrix give the same bytes,
+    # alone or in a batch that mixes the layouts
     with open(DATA / "project_cptp_restarts2.json", encoding="utf-8") as fh:
-        b = np.array(json.load(fh)["cases"][1]["s_raw"])
-    assert a.flags.f_contiguous and not a.flags.c_contiguous and b.flags.c_contiguous
+        cases = json.load(fh)["cases"]
+    assert len(cases) == 6
+    layouts = []
+    for case in cases:
+        row = np.array(case["s_raw"])
+        big = np.zeros((8, 8))
+        big[::2, ::2] = row
+        layouts.append((row, np.asfortranarray(row), big[::2, ::2]))
+    assert all(a.flags.c_contiguous and b.flags.f_contiguous for a, b, _ in layouts)
+    assert not any(c.flags.c_contiguous or c.flags.f_contiguous for _, _, c in layouts)
     opt = OptConfig(restarts=2, seed=5)
-    for mats in ([a, b], [b, a]):
-        batched = _project_cptp_many(mats, SIC, SIC, opt)
-        single = [project_cptp(m, SIC, SIC, opt) for m in mats]
-        assert [x.tobytes() for x in batched] == [x.tobytes() for x in single]
+    want = [project_cptp(row, SIC, SIC, opt).tobytes() for row, _, _ in layouts]
+    for views, one in zip(layouts, want):
+        assert [project_cptp(m, SIC, SIC, opt).tobytes() for m in views[1:]] == [one] * 2
+        assert [x.tobytes() for x in _project_cptp_many(views, SIC, SIC, opt)] == [one] * 3
+    mixed = [views[k % 3] for k, views in enumerate(layouts)]
+    for mats, expected in ((mixed, want), (mixed[::-1], want[::-1])):
+        assert [x.tobytes() for x in _project_cptp_many(mats, SIC, SIC, opt)] == expected
+
+
+def test_row_major_copy_of_a_criterion_5_matrix_projects():
+    # trial 60 of criterion 5: its row-major copy once took a different
+    # arithmetic path from reconstruct_raw's column-major array, on which no
+    # restart converged
+    counts = simulate_counts(S_GATE_QUBIT, SIC, shots=1024, seed=3060)
+    raw = reconstruct_raw(freq_from_counts(counts), SIC)
+    assert raw.flags.f_contiguous and not raw.flags.c_contiguous
+    opt = OptConfig(restarts=2, seed=60)
+    want = project_cptp(raw, SIC, SIC, opt)
+    assert project_cptp(np.ascontiguousarray(raw), SIC, SIC, opt).tobytes() == want.tobytes()
 
 
 def test_batched_projection_raises_the_error_of_the_first_failing_matrix():

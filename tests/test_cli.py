@@ -104,6 +104,31 @@ def test_convert_rejects_nonquantum_probs(tmp_path, capsys):
     assert code == 3
 
 
+def test_convert_rejects_probs_that_do_not_sum_to_one(tmp_path, capsys):
+    # the flat vector scaled to sum 4 rebuilds 5 I: positive, but trace 10
+    path = write(tmp_path, "p.json", {"dim": 2, "probs": [1, 1, 1, 1]})
+    code, out, err = run_main(capsys, ["convert", path])
+    assert code == 3
+    assert out == ""
+    assert "physicality" in err
+
+
+@pytest.mark.parametrize(
+    "verb, option",
+    [("convert", "--csv"), ("convert", "--seed"), ("convert", "--restarts"),
+     ("analyze", "--tol"), ("tomo", "--tol")],
+)  # fmt: skip
+def test_each_verb_rejects_options_it_does_not_read(tmp_path, verb, option):
+    csv_path = tmp_path / "out.csv"
+    value = str(csv_path) if option == "--csv" else "1"
+    path = write(tmp_path, "in.json", dump_prob_vector(np.full(4, 0.25), 2))
+    args = ["--main", path, "--cal", path] if verb == "tomo" else [path]
+    with pytest.raises(SystemExit) as exc:
+        main([verb, *args, option, value])
+    assert exc.value.code == 2
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize("kind", ["kraus", "density", "probs"])
 def test_convert_nonfinite_input_is_input_error(tmp_path, capsys, kind):
     # json writes the NaN as a bare NaN token and reads it back. Before the

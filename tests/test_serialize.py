@@ -196,6 +196,19 @@ def test_schema_errors_on_malformed_values():
         load_pstoch({"dim_in": 2, "dim_out": 2, "matrix": "nope"})
 
 
+def test_load_counts_rejects_fractional_counts():
+    # the first row sums to 1025; decoding it as integers would truncate it
+    # to [2, 0, 1022, 0], which sums to the 1024 shots
+    rows = [[2.5, 0.5, 1022, 0]] + [[1024, 0, 0, 0]] * 3
+    with pytest.raises(ValueError, match="'counts'"):
+        load_counts({"dim": 2, "shots": 1024, "counts": rows})
+    # a count past the int64 range is an input error too, not an OverflowError
+    with pytest.raises(ValueError, match="'counts'"):
+        load_counts({"dim": 2, "shots": 1024, "counts": [[2**64, 0, 0, 0]] * 4})
+    whole = load_counts({"dim": 2, "shots": 1024, "counts": [[1024.0, 0, 0, 0]] * 4})
+    assert whole.counts.dtype == np.int64
+
+
 def old_encode_complex_matrix(m):
     """The per-entry encoder the whole-array one replaced: the reference."""
     return [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).reshape(-1)]

@@ -120,6 +120,14 @@ def test_qplex_membership():
     assert qplex_membership(np.full(4, 0.25), SIC)
 
 
+def test_qplex_membership_rejects_vectors_that_do_not_sum_to_one():
+    # every scaling of the flat vector rebuilds a positive multiple of the
+    # identity; only the one that sums to 1 is a state
+    assert not qplex_membership(np.ones(4), SIC)
+    assert not qplex_membership(np.full(4, 0.25 + 1e-6), SIC)
+    assert qplex_membership(np.full(4, 0.25 + 1e-6), SIC, tol=1e-5)
+
+
 def test_overlap_matches_hilbert_schmidt():
     rng = np.random.default_rng(45)
     for _ in range(30):

@@ -266,11 +266,10 @@ def test_pipeline_raises_what_the_cal_record_raises_alone():
 
 
 def test_run_pipeline_matches_recorded_outputs():
-    # The pipeline hands project_cptp the Fortran-ordered arrays that
-    # reconstruct_raw returns, and the last bits of its output depend on
-    # that layout, so the whole pipeline is pinned here, not only the
-    # projection of C-ordered inputs. The cases run in a fresh interpreter
-    # with BLAS on one thread (see pipeline_cases.py).
+    # The whole pipeline is pinned here: the projections of reconstruct_raw's
+    # arrays and of the calibrated product, the generator logarithms and
+    # the frame searches. The cases run in a fresh interpreter with BLAS on
+    # one thread (see pipeline_cases.py).
     tests = pathlib.Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
