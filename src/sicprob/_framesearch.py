@@ -97,8 +97,10 @@ def _rotated_off_diagonals(lmat: np.ndarray, basis: np.ndarray, lam: np.ndarray)
 
 
 def _conjugate(lmat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``U L U^T`` for a stack of rotations: every frame the search scores."""
-    return u @ lmat @ u.transpose(0, 2, 1)
+    """``U L U^T`` for a stack of rotations: every frame the search scores.
+    ``U L`` is one GEMM over the stacked rows."""
+    ul = (u.reshape(-1, u.shape[-1]) @ lmat).reshape(u.shape)
+    return ul @ u.transpose(0, 2, 1)
 
 
 def _rotated_negativities(lmat: np.ndarray, basis: np.ndarray, lam: np.ndarray) -> np.ndarray:

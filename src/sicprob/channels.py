@@ -208,7 +208,8 @@ def _tp_operator(p: np.ndarray, sig: np.ndarray) -> np.ndarray:
 
 
 def _kraus_coeffs_from_choi(rho: np.ndarray, d: int, sig: np.ndarray) -> np.ndarray:
-    """Warm-start V: clip the Choi spectrum, read off Kraus coefficients."""
+    """Warm-start V: clip the Choi spectrum, read off Kraus coefficients (those
+    of the completely depolarizing channel if no eigenvalue is left)."""
     n = d * d
     rho_h = (rho + rho.conj().T) / 2
     vals, vecs = np.linalg.eigh(rho_h)
@@ -220,6 +221,8 @@ def _kraus_coeffs_from_choi(rho: np.ndarray, d: int, sig: np.ndarray) -> np.ndar
         a = (np.sqrt(d * lam) * u).reshape(d, d).T
         v0[:, col] = np.einsum("iab,ba->i", sig, a) / 2
         col += 1
+    if col == 0:  # V = 0 is stationary in every stage: start fully depolarizing
+        return np.eye(n, dtype=complex) / math.sqrt(2 * d)
     return v0
 
 
@@ -285,17 +288,23 @@ def _project_cptp_many(mats, sic_in: SicPovm, sic_out: SicPovm, opt: OptConfig |
     s_lanes = np.array(s_lanes)
 
     def fun_grad_many(x: np.ndarray, mu: np.ndarray, lanes: np.ndarray):
-        v = (x[:, : n * n] + 1j * x[:, n * n :]).reshape(-1, n, n)
+        # the einsums keep their operands and layouts: the bits depend on them
+        v = np.empty((len(x), n, n), complex)
+        v.real, v.imag = x[:, : n * n].reshape(v.shape), x[:, n * n :].reshape(v.shape)
         p = v @ v.conj().transpose(0, 2, 1)
         s_model = np.einsum("kij,ijab->kab", p, theta).real
-        resid = s_model.transpose(0, 2, 1) - s_lanes[lanes]
-        t_dev = _tp_operator(p, sig) - eye
+        target = s_lanes if len(lanes) == len(s_lanes) else s_lanes[lanes]
+        resid = s_model.transpose(0, 2, 1) - target
+        t_dev = _tp_operator(p, sig)
+        t_dev -= eye
         f = (resid**2).sum(axis=(1, 2)) + mu * (np.abs(t_dev) ** 2).sum(axis=(1, 2))
-        w = np.einsum("kba,ijab->kij", 2.0 * resid, theta)
+        resid *= 2.0
+        w = np.einsum("kba,ijab->kij", resid, theta)
         w += (2.0 * mu)[:, None, None] * np.einsum("kab,ibc,jca->kji", t_dev, sig, sig)
-        a = (w.transpose(0, 2, 1) + w.conj()) / 2
-        av = (a @ v).reshape(len(x), -1)
-        return f, np.concatenate([2 * av.real, 2 * av.imag], axis=1)
+        av = (w.transpose(0, 2, 1) + w.conj()) @ v  # twice the Hermitian part of w, times V
+        g = np.empty((len(x), 2 * n * n))
+        g[:, : n * n], g[:, n * n :] = av.real.reshape(len(x), -1), av.imag.reshape(len(x), -1)
+        return f, g
 
     from ._lbfgsb import lbfgsb_lanes
 

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from sicprob import channels
 from sicprob._optim import OptConfig
 from sicprob.channels import (
     _project_cptp_many,
@@ -283,6 +285,7 @@ def test_unital_channel_is_pseudobistochastic():
         assert np.abs(s.sum(axis=1) - 1.0).max() < 1e-12
 
 
+@pytest.mark.bits
 def test_project_cptp_matches_recorded_outputs():
     # project_cptp's arithmetic is pinned bit for bit: raw reconstructions
     # of 1024-shot counts of random qubit channels, and the outputs that
@@ -308,6 +311,7 @@ def test_project_cptp_raises_when_no_restart_converges(max_iter):
         project_cptp(s_raw, SIC, SIC, OptConfig(restarts=2, max_iter=max_iter))
 
 
+@pytest.mark.bits
 def test_batched_projection_matches_single_calls_in_each_layout():
     # project_cptp reads every matrix column-major, so a row-major copy, a
     # column-major copy and a strided view of a matrix give the same bytes,
@@ -345,25 +349,43 @@ def test_row_major_copy_of_a_criterion_5_matrix_projects():
     assert project_cptp(np.ascontiguousarray(raw), SIC, SIC, opt).tobytes() == want.tobytes()
 
 
-def test_batched_projection_raises_the_error_of_the_first_failing_matrix():
-    # the zero matrix's warm start V = 0 is stationary, so with one restart
-    # its trace operator is singular; the recorded input stalls at 3
-    # iterations a stage
+def test_batched_projection_raises_the_error_of_the_first_failing_matrix(monkeypatch):
+    # the recorded input stalls at 3 iterations a stage, with one restart
+    # and with two; the zero matrix stalls beside it with one
     zero = np.zeros((4, 4))
     with open(DATA / "project_cptp_restarts2.json", encoding="utf-8") as fh:
         noisy = np.array(json.load(fh)["cases"][0]["s_raw"])
-    singular = "^trace operator nearly singular after optimization"
     stalled = "^CPTP projection failed to converge in {} restarts$"
-    opt = OptConfig(restarts=1, max_iter=3)
-    for mats, message in (([zero, noisy], singular), ([noisy, zero], stalled.format(1))):
-        with pytest.raises(OptimizerError, match=message):
+    for restarts in (1, 2):
+        for mats in ([zero, noisy], [noisy, zero]):
+            with pytest.raises(OptimizerError, match=stalled.format(restarts)):
+                _project_cptp_many(mats, SIC, SIC, OptConfig(restarts=restarts, max_iter=3))
+    # with a CPTP check that rejects every output, each matrix raises a
+    # message of its own, and a batch raises that of its first matrix
+    checked = channels.is_cptp
+    monkeypatch.setattr(channels, "is_cptp", lambda *a, **k: (False, checked(*a, **k)[1]))
+    opt = OptConfig(restarts=2)
+    alone = []
+    for m in (zero, noisy):
+        with pytest.raises(OptimizerError, match="^projection output failed the CPTP check") as exc:
+            project_cptp(m, SIC, SIC, opt)
+        alone.append(str(exc.value))
+    assert alone[0] != alone[1]
+    for mats, message in (([zero, noisy], alone[0]), ([noisy, zero], alone[1])):
+        with pytest.raises(OptimizerError, match=f"^{re.escape(message)}$"):
             _project_cptp_many(mats, SIC, SIC, opt)
-    # with a second restart the zero matrix projects, and the one after it
-    # still raises its own error
-    opt = OptConfig(restarts=2, max_iter=3)
-    _project_cptp_many([zero], SIC, SIC, opt)
-    with pytest.raises(OptimizerError, match=stalled.format(2)):
-        _project_cptp_many([zero, noisy], SIC, SIC, opt)
+
+
+@pytest.mark.parametrize("sic", [SIC, SIC3], ids=["d2", "d3"])
+@pytest.mark.parametrize("kind", ["zero", "minus_identity"])
+def test_matrix_without_positive_choi_eigenvalue_projects_with_one_restart(sic, kind):
+    # the clipped Choi spectrum is empty, so the warm start is the
+    # completely depolarizing channel, not the stationary V = 0
+    n = sic.dim**2
+    s = np.zeros((n, n)) if kind == "zero" else -np.eye(n)
+    assert np.linalg.eigvalsh(channels._choi(s, sic, sic)).max() <= 1e-12
+    ok, _ = is_cptp(project_cptp(s, sic, sic, OptConfig(restarts=1)), sic, sic)
+    assert ok
 
 
 def test_project_cptp_fixed_point():

@@ -202,6 +202,43 @@ def test_analyze_zero_restarts_is_input_error(tmp_path, capsys):
     assert "restarts" in err
 
 
+@pytest.mark.parametrize("defect", ["nan", "inf", "shape", "dim_out", "dim"])
+def test_analyze_malformed_matrix_is_input_error(tmp_path, capsys, defect):
+    obj = dump_pstoch(S_GATE_QUBIT, 2, 2)
+    if defect in ("nan", "inf"):
+        obj["matrix"][1][2] = float(defect)
+    elif defect == "shape":
+        obj["matrix"] = obj["matrix"][:3]
+    elif defect == "dim_out":  # a 3 x 2 channel: well formed, not square
+        obj = dump_pstoch(np.full((9, 4), 1 / 9), 2, 3)
+    else:  # a qutrit matrix for the qubit SIC
+        obj = dump_pstoch(np.eye(9), 3, 3)
+    path = write(tmp_path, "m.json", obj)
+    code, out, err = run_main(capsys, ["analyze", path])
+    assert (code, out) == (2, "")
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("record", ["main", "cal"])
+@pytest.mark.parametrize("defect", ["nan", "inf", "shape", "dim"])
+def test_tomo_malformed_counts_are_input_error(tmp_path, capsys, record, defect):
+    objs = {
+        name: dump_counts(simulate_counts(S_GATE_QUBIT, SIC, shots=64, seed=seed))
+        for name, seed in (("main", 83), ("cal", 84))
+    }
+    bad = objs[record]
+    if defect in ("nan", "inf"):
+        bad["counts"][1][2] = float(defect)
+    elif defect == "shape":
+        bad["counts"] = bad["counts"][:3]
+    else:  # a well-formed qutrit record beside a qubit one, for the qubit SIC
+        bad.update(dim=3, counts=(np.eye(9, dtype=int) * 64).tolist())
+    paths = {name: write(tmp_path, f"{name}.json", obj) for name, obj in objs.items()}
+    code, out, err = run_main(capsys, ["tomo", "--main", paths["main"], "--cal", paths["cal"]])
+    assert (code, out) == (2, "")
+    assert "input error" in err
+
+
 def test_optimizer_failure_maps_to_exit_5(tmp_path, capsys, monkeypatch):
     import sicprob.cli as cli_mod
     from sicprob.errors import OptimizerError

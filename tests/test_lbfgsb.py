@@ -8,10 +8,14 @@ from sicprob import _lbfgsb
 from sicprob._lbfgsb import lbfgsb_lanes
 from sicprob._optim import OptConfig
 from sicprob.channels import _project_cptp_many, kraus_to_pstoch, project_cptp
+from sicprob.dynamics import _theta_stack, basis_sigma
 from sicprob.errors import OptimizerError
 from sicprob.sic import builtin_qubit
 
 from fixtures import DATA, qutrit_sic, random_kraus_channel
+
+# every test here pins bits or work counts: run them alone with -m bits
+pytestmark = pytest.mark.bits
 
 SIC = builtin_qubit()
 
@@ -112,3 +116,68 @@ def test_driver_matches_minimize_when_lanes_finish_in_different_rounds(runs):
     evaluations = [sum(lane in r for r in rounds) for lane in range(4)]
     assert len(set(evaluations)) > 1
     assert len(assert_lanes_match_minimize(*args)) == 16
+
+
+def reference_kernel(mats, sic, restarts):
+    """The evaluation of project_cptp's lanes as first written, allocating a
+    fresh array at each step: the bits its kernel is held to."""
+    d = sic.dim
+    n = d * d
+    sig = basis_sigma(d)
+    theta = _theta_stack(sic, sic, sig)
+    eye = np.eye(d)
+    s_lanes = np.array([np.asfortranarray(s, dtype=float).T for s in mats for _ in range(restarts)])
+
+    def fun_grad_many(x, mu, lanes):
+        v = (x[:, : n * n] + 1j * x[:, n * n :]).reshape(-1, n, n)
+        p = v @ v.conj().transpose(0, 2, 1)
+        s_model = np.einsum("kij,ijab->kab", p, theta).real
+        resid = s_model.transpose(0, 2, 1) - s_lanes[lanes]
+        t_dev = np.einsum("kji,iab,jbc->kac", p, sig, sig) - eye
+        f = (resid**2).sum(axis=(1, 2)) + mu * (np.abs(t_dev) ** 2).sum(axis=(1, 2))
+        w = np.einsum("kba,ijab->kij", 2.0 * resid, theta)
+        w += (2.0 * mu)[:, None, None] * np.einsum("kab,ibc,jca->kji", t_dev, sig, sig)
+        a = (w.transpose(0, 2, 1) + w.conj()) / 2
+        av = (a @ v).reshape(len(x), -1)
+        return f, np.concatenate([2 * av.real, 2 * av.imag], axis=1)
+
+    return fun_grad_many
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kernel_matches_the_reference_formula_bit_for_bit(runs, dim):
+    # two matrices x 2 restarts: 4 lanes, evaluated at random points and at
+    # the warm starts, in subsets of 1 to 4 lanes, at each stage's mu and at
+    # a mix of them
+    sic = SIC if dim == 2 else qutrit_sic()
+    rng = np.random.default_rng(30 + dim)
+    mats = []
+    for _ in range(2):
+        s = kraus_to_pstoch(random_kraus_channel(rng, dim, 2), sic, sic)
+        mats.append(s + 0.02 * rng.standard_normal(s.shape))
+    with pytest.raises(OptimizerError):  # 2 iterations a stage: only the kernel is wanted
+        _project_cptp_many(mats, sic, sic, OptConfig(restarts=2, max_iter=2))
+    (args, _), = runs
+    kernel, x0, mus = args[:3]
+    reference = reference_kernel(mats, sic, 2)
+    for mu in [*([m] for m in mus), mus]:
+        for size in range(1, 5):
+            lanes = np.sort(rng.choice(4, size, replace=False))
+            mu_lanes = rng.choice(mu, size)
+            for x in (x0[lanes], rng.standard_normal((size, x0.shape[1]))):
+                got, want = kernel(x, mu_lanes, lanes), reference(x, mu_lanes, lanes)
+                for a, b in zip(got, want, strict=True):
+                    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                    assert a.tobytes() == b.tobytes()
+
+
+def test_lane_work_on_the_recorded_inputs(runs):
+    # (rounds, lane evaluations) of each recorded input at restarts=2: a
+    # cheaper evaluation must not change the steps
+    with open(DATA / "project_cptp_restarts2.json", encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
+    for case in cases:
+        project_cptp(np.array(case["s_raw"]), SIC, SIC, OptConfig(restarts=2, seed=case["seed"]))
+    assert [(len(rounds), sum(map(len, rounds))) for _, rounds in runs] == [
+        (238, 388), (538, 1042), (335, 609), (402, 769), (287, 537), (334, 593),
+    ]  # fmt: skip

@@ -265,6 +265,7 @@ def test_pipeline_raises_what_the_cal_record_raises_alone():
         calibrate(raw_cal, raw_main, SIC, opt)
 
 
+@pytest.mark.bits
 def test_run_pipeline_matches_recorded_outputs():
     # The whole pipeline is pinned here: the projections of reconstruct_raw's
     # arrays and of the calibrated product, the generator logarithms and
@@ -293,6 +294,7 @@ def test_run_pipeline_matches_recorded_outputs():
             assert an["quant_value"] == want["quant_value"]
 
 
+@pytest.mark.bits
 def test_run_pipeline_frames_do_not_depend_on_blas_threads():
     # the frame search takes the same steps with one BLAS thread and with two
     tests = pathlib.Path(__file__).resolve().parent
