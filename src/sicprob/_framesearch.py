@@ -294,24 +294,16 @@ def _model_step(reach, gram, f, fmax, active):
     until none is negative. Returns ``delta``, ``t``, the multipliers of
     every entry and the final active set.
     """
-    step, t, mult = _equality_step(reach, gram, f, active)
-    lin = -_mv(gram, mult)  # G delta
-    fits = (f + lin <= t[:, None] + _MU_TOL).all(axis=1)
-    work = active
-    if not fits.all() or mult.min() < -_MU_TOL:
-        step, t, mult, work = _active_set(reach, gram, f, fmax, active, step, t, mult, lin, fits)
-    mult = np.maximum(mult, 0.0) * work
-    return step, t, mult / mult.sum(axis=1, keepdims=True), work
-
-
-def _active_set(reach, gram, f, fmax, active, step, t, mult, lin, fits):
-    """The passes of ``_model_step`` for lanes whose first guess failed."""
     lanes = len(f)
     every = np.arange(lanes)
-    step[~fits], lin[~fits] = 0.0, 0.0
-    t = np.where(fits, t, fmax)
-    work = np.where(fits[:, None], active, _largest(f))
-    at_target = fits  # lanes at their equality solution, multipliers known
+    step, t, mult = _equality_step(reach, gram, f, active)
+    lin = -_mv(gram, mult)  # G delta
+    # lanes whose first guess fits start at its equality solution,
+    # multipliers known
+    at_target = (f + lin <= t[:, None] + _MU_TOL).all(axis=1)
+    step[~at_target], lin[~at_target] = 0.0, 0.0
+    t = np.where(at_target, t, fmax)
+    work = np.where(at_target[:, None], active, _largest(f))
     pending = np.ones(lanes, dtype=bool)
     for _ in range(_QP_PASSES):
         worst = np.where(work, mult, np.inf).argmin(axis=1)
@@ -335,7 +327,8 @@ def _active_set(reach, gram, f, fmax, active, step, t, mult, lin, fits):
         work[blocked, first[blocked]] = True
         mult = np.where(pending[:, None], target_mult, mult)
         at_target = pending & ~blocked
-    return step, t, mult, work
+    mult = np.maximum(mult, 0.0) * work
+    return step, t, mult / mult.sum(axis=1, keepdims=True), work
 
 
 def _equality_step(reach, gram, f, work):

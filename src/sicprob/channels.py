@@ -72,34 +72,26 @@ def kraus_to_pstoch(
     return _to_frame(amat, sic_out, sic_in, "channel matrix", 1e-8)
 
 
-def _pstoch_from_action(phi, sic: SicPovm) -> np.ndarray:
-    """Elementwise construction from a map's action on the projectors."""
-    d = sic.dim
-    offset = np.einsum("iab,ba->i", sic.projectors, phi(np.eye(d, dtype=complex))).real / d
-    s = np.empty((d * d, d * d))
-    for j in range(d * d):
-        out = phi(sic.projectors[j])
-        s[:, j] = (d + 1) / d * np.einsum("iab,ba->i", sic.projectors, out).real - offset
-    return s
-
-
 def builtin_ptp(name: str, sic: SicPovm) -> np.ndarray:
     """Positive trace-preserving (but not CP) example maps.
 
-    ``"transposition"`` is ``X -> X^T``; ``"reduction"`` is
-    ``X -> (Tr(X) I - X)/(d-1)``. Both are unital, so their matrices are
-    pseudobistochastic; neither passes :func:`is_cptp`.
+    ``"transposition"`` is ``X -> X^T``, whose superoperator swaps the two
+    indices of ``vec(X)``; ``"reduction"`` is ``X -> (Tr(X) I - X)/(d-1)``,
+    with superoperator ``(vec(I) vec(I)^T - I)/(d-1)``. Both are unital, so
+    their matrices are pseudobistochastic; neither passes :func:`is_cptp`.
     """
     d = sic.dim
+    n = d * d
     if name == "transposition":
-        return _pstoch_from_action(lambda x: x.T, sic)
-    if name == "reduction":
+        superop = np.eye(n).reshape(d, d, n).transpose(1, 0, 2).reshape(n, n)
+    elif name == "reduction":
         if d < 2:
             raise ValueError("reduction map needs dimension at least 2")
-        return _pstoch_from_action(
-            lambda x: (np.trace(x) * np.eye(d, dtype=complex) - x) / (d - 1), sic
-        )
-    raise ValueError(f"unknown builtin map {name!r}; choose 'transposition' or 'reduction'")
+        vec_eye = np.eye(d).reshape(n)
+        superop = (np.outer(vec_eye, vec_eye) - np.eye(n)) / (d - 1)
+    else:
+        raise ValueError(f"unknown builtin map {name!r}; choose 'transposition' or 'reduction'")
+    return _to_frame(superop, sic, sic, "channel matrix", 1e-8)
 
 
 def _choi(s: np.ndarray, sic_in: SicPovm, sic_out: SicPovm) -> np.ndarray:
@@ -269,7 +261,7 @@ def _project_cptp_many(mats, sic_in: SicPovm, sic_out: SicPovm, opt: OptConfig |
     sig = basis_sigma(d)
     theta = _theta_stack(sic_in, sic_out, sig)
     eye = np.eye(d)
-    restarts = max(1, opt.restarts)
+    restarts = opt.restarts
     starts, s_lanes = [], []
     for s_raw in mats:
         # read column-major, as reconstruct_raw returns it, so the last bits

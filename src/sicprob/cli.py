@@ -19,6 +19,7 @@ from .errors import NumericalDomainError, OptimizerError, PhysicalityError
 from .measures import analyze_evolution
 from .sic import SicPovm, builtin_qubit, fingerprint, from_fiducial
 from .serialize import (
+    _floats,
     dump_density,
     dump_markov_report,
     dump_prob_vector,
@@ -76,10 +77,6 @@ def _fmt_matrix(name: str, m: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows(m: np.ndarray) -> list[list[float]]:
-    return np.asarray(m, dtype=float).tolist()
-
-
 def _csv_blocks(path: str, named: list[tuple[str, np.ndarray]]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("matrix,row,col,value\n")
@@ -91,6 +88,8 @@ def _csv_blocks(path: str, named: list[tuple[str, np.ndarray]]) -> None:
 
 
 def _cmd_convert(args) -> int:
+    if not 0.0 <= args.tol < float("inf"):
+        raise ValueError(f"--tol must be a finite nonnegative number, got {args.tol!r}")
     sic = _load_sic(args.sic)
     obj = _read_json(args.input)
     if "kraus" in obj:
@@ -138,9 +137,9 @@ def _analysis_dict(analysis, dim: int, sic: SicPovm) -> dict:
     return {
         "dim": dim,
         "sic": fingerprint(sic),
-        "log": _rows(analysis.log),
-        "h_part": _rows(analysis.h_part),
-        "d_part": _rows(analysis.d_part),
+        "log": _floats(analysis.log),
+        "h_part": _floats(analysis.h_part),
+        "d_part": _floats(analysis.d_part),
         "delta_quant": dump_quant_report(analysis.quant),
         "delta_nmark": dump_markov_report(analysis.mark),
         "markov_residual": float(analysis.markov_residual),
@@ -154,10 +153,7 @@ def _cmd_analyze(args) -> int:
         raise ValueError("analysis requires a square channel (equal dimensions)")
     if d_in != sic.dim:
         raise ValueError(f"matrix is d={d_in} but the SIC is d={sic.dim}")
-    opt = OptConfig(
-        restarts=args.restarts if args.restarts is not None else 32,
-        seed=args.seed,
-    )
+    opt = OptConfig(restarts=args.restarts, seed=args.seed)
     analysis = analyze_evolution(s_matrix, sic, opt)
     result = _analysis_dict(analysis, d_in, sic)
     table = (
@@ -186,20 +182,17 @@ def _cmd_tomo(args) -> int:
     sic = _load_sic(args.sic)
     counts_cal = load_counts(_read_json(args.cal))
     counts_main = load_counts(_read_json(args.main))
-    opt = OptConfig(
-        restarts=args.restarts if args.restarts is not None else 8,
-        seed=args.seed,
-    )
+    opt = OptConfig(restarts=args.restarts, seed=args.seed)
     report = run_pipeline(counts_main, counts_cal, sic, opt)
     result = {
         "shots": report.shots,
         "per_entry_error": report.main.per_entry_error,
         "sic": fingerprint(sic),
-        "s_cal_raw": _rows(report.cal.s_raw),
-        "s_cal": _rows(report.cal.s_cptp),
-        "s_main_raw": _rows(report.main.s_raw),
-        "s_main": _rows(report.main.s_cptp),
-        "s_u": _rows(report.s_u),
+        "s_cal_raw": _floats(report.cal.s_raw),
+        "s_cal": _floats(report.cal.s_cptp),
+        "s_main_raw": _floats(report.main.s_raw),
+        "s_main": _floats(report.main.s_cptp),
+        "s_u": _floats(report.s_u),
         "analysis_u": _analysis_dict(report.analysis_u, counts_main.dim, sic),
         "analysis_cal": _analysis_dict(report.analysis_cal, counts_main.dim, sic),
         "meta": {
@@ -248,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         "--seed": dict(type=int, default=0, help="base seed for all optimizers"),
         "--tol": dict(type=float, default=1e-9, help="tolerance for physicality checks"),
-        "--restarts": dict(type=int, default=None, help="optimizer restarts override"),
+        "--restarts": dict(type=int, help="optimizer restarts (analyze: 32, tomo: 8)"),
         "--out": dict(default=None, help="write JSON here instead of stdout"),
         "--csv": dict(default=None, help="also write matrices as long-format CSV"),
     }
@@ -269,13 +262,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_analyze.add_argument("input", help="JSON file: pseudostochastic matrix")
     add_options(p_analyze, "--sic", "--seed", "--restarts", "--out", "--csv")
-    p_analyze.set_defaults(fn=_cmd_analyze)
+    p_analyze.set_defaults(fn=_cmd_analyze, restarts=32)
 
     p_tomo = sub.add_parser("tomo", help="reconstruct a process from two counts files")
     p_tomo.add_argument("--main", required=True, help="counts JSON for the full chain")
     p_tomo.add_argument("--cal", required=True, help="counts JSON for the calibration chain")
     add_options(p_tomo, "--sic", "--seed", "--restarts", "--out", "--csv")
-    p_tomo.set_defaults(fn=_cmd_tomo)
+    p_tomo.set_defaults(fn=_cmd_tomo, restarts=8)
     return parser
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._optim import OptConfig
-from .errors import NumericalDomainError, OptimizerError, PhysicalityError, _require_finite
+from .errors import NumericalDomainError, OptimizerError, _check_hermitian, _require_finite
 from .linalg import frobenius_dist, mat_exp
 from .sic import SicPovm, _to_frame
 
@@ -118,17 +118,6 @@ def _sigma_stack(d: int) -> np.ndarray:
     return _read_only(np.stack(mats))
 
 
-def _check_hermitian(h: np.ndarray, what: str = "Hamiltonian") -> np.ndarray:
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {h.shape}")
-    _require_finite(h, what)
-    dev = float(np.abs(h - h.conj().T).max())
-    if dev > 1e-10:
-        raise PhysicalityError(f"{what} is not Hermitian: max dev {dev:.3e}")
-    return h
-
-
 def _commutator_superop(c: np.ndarray) -> np.ndarray:
     """``-i (C (x) I - I (x) C.conj())``, the superoperator of ``X -> -i (C X - X C^H)``."""
     eye = np.eye(len(c))
@@ -141,7 +130,7 @@ def hgen_from_hamiltonian(h: np.ndarray, s: SicPovm) -> np.ndarray:
     Real, antisymmetric, zero row and column sums; depends only on the
     traceless part of ``H``.
     """
-    h = _check_hermitian(h)
+    h = _check_hermitian(h, "Hamiltonian")
     d = s.dim
     if h.shape[0] != d:
         raise ValueError(f"Hamiltonian dimension {h.shape[0]} does not match SIC {d}")
@@ -227,45 +216,46 @@ def evolve_time_ordered(gen_fn, t: float, steps: int | None = None) -> np.ndarra
     return u
 
 
-def _gksl_action(h: np.ndarray, noise_ops, x: np.ndarray) -> np.ndarray:
-    out = -1j * (h @ x - x @ h)
-    for v in noise_ops:
-        vdv = v.conj().T @ v
-        out += v @ x @ v.conj().T - 0.5 * (vdv @ x + x @ vdv)
-    return out
+def _gksl_superop(spec: GkslSpec) -> np.ndarray:
+    """``Lambda = -i (C (x) I - I (x) C.conj()) + sum_k V_k (x) V_k.conj()``,
+    ``C = H - (i/2) sum_k V_k^H V_k``: the superoperator of the GKSL map,
+    from a checked spec (``spec.dim`` must be the Hamiltonian's dimension)."""
+    h = _check_hermitian(spec.hamiltonian, "Hamiltonian")
+    d = h.shape[0]
+    if spec.dim != d:
+        raise ValueError(f"spec.dim is {spec.dim} but the Hamiltonian is {d}x{d}")
+    noise = [np.asarray(v, dtype=complex) for v in spec.noise_ops]
+    for v in noise:
+        if v.shape != (d, d):
+            raise ValueError(f"noise operator shape {v.shape}, expected ({d}, {d})")
+        _require_finite(v, "noise operator")
+    c = h - 0.5j * sum((v.conj().T @ v for v in noise), start=np.zeros((d, d), complex))
+    jumps = sum((np.kron(v, v.conj()) for v in noise), start=np.zeros((d * d, d * d), complex))
+    return _commutator_superop(c) + jumps
 
 
 def lgen_from_gksl(spec: GkslSpec, s: SicPovm) -> Generator:
     """Pseudo-Kolmogorov generator of a GKSL master equation.
 
-    Builds ``C = H - (i/2) sum_k V_k^H V_k`` and conjugates
-    ``Lambda = -i (C (x) I - I (x) C.conj()) + sum_k V_k (x) V_k.conj()``
-    with the frame change. The result carries its Hamiltonian part and the
-    dissipative remainder.
+    Conjugates the superoperator ``Lambda`` of the GKSL map
+    (``_gksl_superop``) with the frame change. The result carries its
+    Hamiltonian part and the dissipative remainder. Raises ValueError when
+    ``spec.dim`` is not the dimension of the Hamiltonian or of the SIC.
 
     Noise operators with a nonzero trace are allowed: the identity
     component of ``V = V0 + c I`` acts as the extra Hamiltonian
     ``(i/2)(c* V0 - c V0^H)``, so the returned split folds it into
     ``h_part`` and leaves ``d_part`` a genuine traceless-noise dissipator.
     """
-    h = _check_hermitian(spec.hamiltonian)
+    lam = _gksl_superop(spec)
     d = s.dim
-    if h.shape[0] != d:
-        raise ValueError(f"Hamiltonian dimension {h.shape[0]} does not match SIC {d}")
-    noise = [np.asarray(v, dtype=complex) for v in spec.noise_ops]
-    for v in noise:
-        if v.shape != (d, d):
-            raise ValueError(f"noise operator shape {v.shape}, expected ({d}, {d})")
-        _require_finite(v, "noise operator")
-    eye = np.eye(d)
-    c = h - 0.5j * sum((v.conj().T @ v for v in noise), start=np.zeros((d, d), complex))
-    lam = _commutator_superop(c)
-    lam += sum(
-        (np.kron(v, v.conj()) for v in noise), start=np.zeros((d * d, d * d), complex)
-    )
+    if spec.dim != d:
+        raise ValueError(f"Hamiltonian dimension {spec.dim} does not match SIC {d}")
     lmat = _to_frame(lam, s, s, "generator", 1e-8)
-    h_eff = h.astype(complex)
-    for v in noise:
+    eye = np.eye(d)
+    h_eff = np.array(spec.hamiltonian, dtype=complex)
+    for v in spec.noise_ops:
+        v = np.asarray(v, dtype=complex)
         trace_coef = np.trace(v) / d
         v0 = v - trace_coef * eye
         h_eff += 0.5j * (np.conj(trace_coef) * v0 - trace_coef * v0.conj().T)
@@ -280,25 +270,16 @@ def kolmogorov_matrix(spec: GkslSpec, basis_states: np.ndarray | None = None) ->
     computational basis. Off-diagonals are nonnegative and columns sum to
     zero, so this is a genuine Kolmogorov generator on the diagonal.
     """
-    h = _check_hermitian(spec.hamiltonian)
-    d = h.shape[0]
-    noise = [np.asarray(v, dtype=complex) for v in spec.noise_ops]
-    for v in noise:
-        _require_finite(v, "noise operator")
-    if basis_states is None:
-        basis_states = np.eye(d, dtype=complex)
-    basis_states = np.asarray(basis_states, dtype=complex)
+    lam = _gksl_superop(spec)
+    d = spec.dim
+    basis_states = np.asarray(np.eye(d) if basis_states is None else basis_states, dtype=complex)
     _require_finite(basis_states, "basis states")
     ortho_dev = float(np.abs(basis_states.conj().T @ basis_states - np.eye(d)).max())
     if ortho_dev > 1e-10:
         raise ValueError(f"basis states are not orthonormal: dev {ortho_dev:.3e}")
-    kmat = np.empty((d, d))
-    projs = [np.outer(basis_states[:, i], basis_states[:, i].conj()) for i in range(d)]
-    for j in range(d):
-        image = _gksl_action(h, noise, projs[j])
-        for i in range(d):
-            kmat[i, j] = np.trace(projs[i] @ image).real
-    return kmat
+    # row i is vec(P_i), P_i = |b_i><b_i|, so Tr[P_i L(P_j)] = (V* Lambda V^T)_ij
+    vecs = np.einsum("ai,bi->iab", basis_states, basis_states.conj()).reshape(d, d * d)
+    return (vecs.conj() @ lam @ vecs.T).real
 
 
 def omega_basis(s: SicPovm, b: np.ndarray) -> np.ndarray:

@@ -51,3 +51,16 @@ def _require_finite(a: np.ndarray, what: str) -> None:
     # much on the small arrays this package handles
     if np.count_nonzero(np.isfinite(a)) != a.size:
         raise ValueError(f"{what} contains non-finite entries")
+
+
+def _check_hermitian(h: np.ndarray, what: str) -> np.ndarray:
+    """``h`` as a complex array; ValueError unless square and finite,
+    PhysicalityError unless Hermitian to 1e-10."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {h.shape}")
+    _require_finite(h, what)
+    dev = float(np.abs(h - h.conj().T).max())
+    if dev > 1e-10:
+        raise PhysicalityError(f"{what} is not Hermitian: max dev {dev:.3e}")
+    return h

@@ -1,8 +1,12 @@
 """Matrix kernels with explicit domain checks.
 
-Everything downstream funnels its matrix exponentials, logarithms and
-Hermitian diagonalizations through these four functions so that tolerance
-handling and branch-cut failures live in exactly one place.
+Generator exponentials and logarithms go through ``mat_exp`` and
+``mat_log_real``, so their tolerances and branch-cut failures live in one
+place. ``eig_hermitian`` is a checked diagonalization for callers: the
+library's own Hermitian eigenproblems (in ``channels``, ``states``,
+``dynamics`` and ``_framesearch``) call ``np.linalg.eigh``/``eigvalsh`` on
+matrices they symmetrize themselves, and the frame search builds its
+rotations in closed form.
 """
 
 from __future__ import annotations

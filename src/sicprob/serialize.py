@@ -76,11 +76,12 @@ def _floats(m: np.ndarray) -> list:
     return np.asarray(m, dtype=float).tolist()
 
 
-def _dim(obj: dict, key: str = "dim") -> int:
-    d = obj.get(key)
-    if not isinstance(d, int) or d < 1:
+def _positive_int(obj: dict, key: str) -> int:
+    """``obj[key]``, which must be a positive integer: JSON's ``true`` is not one."""
+    v = obj.get(key)
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise ValueError(f"'{key}' must be a positive integer")
-    return d
+    return v
 
 
 def dump_fiducial(f: Fiducial) -> dict:
@@ -91,7 +92,7 @@ def dump_fiducial(f: Fiducial) -> dict:
 
 
 def load_fiducial(obj: dict) -> Fiducial:
-    d = _dim(obj)
+    d = _positive_int(obj, "dim")
     amps = obj.get("amplitudes")
     if not isinstance(amps, list) or len(amps) != d:
         raise ValueError(f"'amplitudes' must list {d} [re, im] pairs")
@@ -111,7 +112,7 @@ def dump_prob_vector(p: np.ndarray, dim: int) -> dict:
 
 
 def load_prob_vector(obj: dict) -> tuple[int, np.ndarray]:
-    d = _dim(obj)
+    d = _positive_int(obj, "dim")
     probs = obj.get("probs")
     if not isinstance(probs, list) or len(probs) != d * d:
         raise ValueError(f"'probs' must list {d * d} numbers")
@@ -123,7 +124,7 @@ def dump_density(rho: np.ndarray, dim: int) -> dict:
 
 
 def load_density(obj: dict) -> tuple[int, np.ndarray]:
-    d = _dim(obj)
+    d = _positive_int(obj, "dim")
     return d, decode_complex_matrix(obj.get("matrix"), d, d, "matrix")
 
 
@@ -136,8 +137,8 @@ def dump_kraus_channel(kraus: list[np.ndarray], dim_in: int, dim_out: int) -> di
 
 
 def load_kraus_channel(obj: dict) -> tuple[int, int, list[np.ndarray]]:
-    d_in = _dim(obj, "dim_in")
-    d_out = _dim(obj, "dim_out")
+    d_in = _positive_int(obj, "dim_in")
+    d_out = _positive_int(obj, "dim_out")
     kraus = obj.get("kraus")
     if not isinstance(kraus, list) or not kraus:
         raise ValueError("'kraus' must be a non-empty list of matrices")
@@ -167,8 +168,8 @@ def dump_pstoch(s: np.ndarray, dim_in: int, dim_out: int) -> dict:
 
 
 def load_pstoch(obj: dict) -> tuple[int, int, np.ndarray]:
-    d_in = _dim(obj, "dim_in")
-    d_out = _dim(obj, "dim_out")
+    d_in = _positive_int(obj, "dim_in")
+    d_out = _positive_int(obj, "dim_out")
     m = _real_array(obj.get("matrix"), (d_out * d_out, d_in * d_in), "matrix")
     return d_in, d_out, m
 
@@ -182,7 +183,7 @@ def dump_gksl(spec: GkslSpec) -> dict:
 
 
 def load_gksl(obj: dict) -> GkslSpec:
-    d = _dim(obj)
+    d = _positive_int(obj, "dim")
     h = decode_complex_matrix(obj.get("hamiltonian"), d, d, "hamiltonian")
     raw_ops = obj.get("noise_ops", [])
     if not isinstance(raw_ops, list):
@@ -206,7 +207,7 @@ def dump_generator(g: Generator) -> dict:
 
 
 def load_generator(obj: dict) -> Generator:
-    d = _dim(obj)
+    d = _positive_int(obj, "dim")
     n = d * d
     matrix = _real_array(obj.get("matrix"), (n, n), "matrix")
     h_part = obj.get("h_part")
@@ -227,10 +228,8 @@ def dump_counts(c: CountsRecord) -> dict:
 
 
 def load_counts(obj: dict) -> CountsRecord:
-    d = _dim(obj)
-    shots = obj.get("shots")
-    if not isinstance(shots, int) or shots < 1:
-        raise ValueError("'shots' must be a positive integer")
+    d = _positive_int(obj, "dim")
+    shots = _positive_int(obj, "shots")
     n = d * d
     raw = obj.get("counts")
     try:
@@ -242,6 +241,8 @@ def load_counts(obj: dict) -> CountsRecord:
         raise ValueError("'counts' must be a nested list of integers, got fractional entries")
     if counts.shape != (n, n):
         raise ValueError(f"'counts' has shape {counts.shape}, expected ({n}, {n})")
+    if any(isinstance(x, bool) for row in raw for x in row):
+        raise ValueError("'counts' must be a nested list of integers, got booleans")
     return CountsRecord(dim=d, shots=shots, counts=counts)
 
 

@@ -95,6 +95,11 @@ def _build(projectors: np.ndarray) -> SicPovm:
     return SicPovm(dim=d, projectors=projectors, kmat=kmat, kinv=kinv)
 
 
+# Signs of the Bloch vectors of the builtin qubit SIC, one vertex of the
+# tetrahedron per row
+_TETRA = np.array([[1, -1, 1], [1, 1, -1], [-1, 1, 1], [-1, -1, -1]], dtype=float)
+
+
 def builtin_qubit() -> SicPovm:
     """The tetrahedral qubit SIC.
 
@@ -105,9 +110,7 @@ def builtin_qubit() -> SicPovm:
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
     eye = np.eye(2, dtype=complex)
-    bloch = np.array(
-        [[1, -1, 1], [1, 1, -1], [-1, 1, 1], [-1, -1, -1]], dtype=float
-    ) / np.sqrt(3)
+    bloch = _TETRA / np.sqrt(3)
     projectors = np.stack(
         [(eye + r[0] * sx + r[1] * sy + r[2] * sz) / 2 for r in bloch]
     )

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhysicalityError, _require_finite
-from .sic import SicPovm, builtin_qubit
+from .errors import PhysicalityError, _check_hermitian, _require_finite
+from .sic import _TETRA, SicPovm
 
 __all__ = [
     "MeasurementMap",
@@ -35,14 +35,10 @@ def validate_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     dimension mismatch or non-finite entries.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if dim is not None and rho.shape[0] != dim:
+    # before the Hermitian check, whose PhysicalityError would take precedence
+    if dim is not None and rho.ndim == 2 and rho.shape[0] != dim:
         raise ValueError(f"dimension mismatch: matrix is {rho.shape[0]}, SIC is {dim}")
-    _require_finite(rho, "density matrix")
-    herm_dev = float(np.abs(rho - rho.conj().T).max())
-    if herm_dev > 1e-10:
-        raise PhysicalityError(f"density matrix not Hermitian: dev {herm_dev:.3e}")
+    rho = _check_hermitian(rho, "density matrix")
     tr_dev = abs(complex(np.trace(rho)) - 1.0)
     if tr_dev > 1e-10:
         raise PhysicalityError(f"density matrix trace differs from 1 by {tr_dev:.3e}")
@@ -158,28 +154,14 @@ def measurement_map(effects: np.ndarray, s: SicPovm) -> MeasurementMap:
 
 # Conversion between the qubit SIC distribution and the three mutually
 # unbiased basis probabilities (projections on the x, y and z axes of the
-# Bloch sphere). The forward matrix follows from the response-function
-# formula for the effects |+><+|, |+i><+i|, |0><0| against the builtin
-# tetrahedral SIC; the affine inverse (T, c) is exact.
+# Bloch sphere). For the effects (I + sigma_k)/2 against the builtin SIC,
+# whose Bloch vectors are the rows of _TETRA over sqrt(3), the response
+# formula of measurement_map gives F = 1/2 + (sqrt(3)/2) _TETRA^T; the affine
+# inverse (T, c) is exact.
 _S3 = np.sqrt(3.0)
-_MUB_T = (_S3 / 6.0) * np.array(
-    [[1, -1, 1], [1, 1, -1], [-1, 1, 1], [-1, -1, -1]], dtype=float
-)
+_MUB_F = 0.5 + (_S3 / 2.0) * _TETRA.T
+_MUB_T = (_S3 / 6.0) * _TETRA
 _MUB_C = np.array([3 - _S3, 3 - _S3, 3 - _S3, 3 + 3 * _S3]) / 12.0
-
-
-def _mub_forward_matrix() -> np.ndarray:
-    s = builtin_qubit()
-    eye = np.eye(2, dtype=complex)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    effects = np.stack([(eye + sx) / 2, (eye + sy) / 2, (eye + sz) / 2])
-    mmat = np.einsum("kab,iba->ki", effects, s.projectors).real
-    return 3 * mmat - 1.0
-
-
-_MUB_F = _mub_forward_matrix()
 
 
 def mub_from_sic(p: np.ndarray) -> np.ndarray:

@@ -164,21 +164,14 @@ def simulate_counts(
     return CountsRecord(dim=s.dim, shots=shots, counts=counts)
 
 
-def _divide_out(
-    s_dec: np.ndarray, s_decu: np.ndarray, s: SicPovm, opt: OptConfig | None
-) -> np.ndarray:
-    """CPTP projection of ``s_dec^-1 s_decu``: the chain with the calibration
-    channel divided out.
-
-    Raises NumericalDomainError when ``s_dec`` is numerically singular
-    (condition number above 1e8).
-    """
+def _calibrated(raw_cal: np.ndarray, raw_main: np.ndarray, s: SicPovm, opt: OptConfig | None):
+    """``calibrate``'s steps; returns ``(s_dec, s_decu, s_u)``, ``s_decu`` the
+    projection of ``raw_main``."""
+    s_dec, s_decu = _project_cptp_many((raw_cal, raw_main), s, s, opt)
     cond = np.linalg.cond(s_dec)
     if not np.isfinite(cond) or cond > 1e8:
-        raise NumericalDomainError(
-            f"calibration channel is numerically singular (cond {cond:.3e})"
-        )
-    return project_cptp(np.linalg.solve(s_dec, s_decu), s, s, opt)
+        raise NumericalDomainError(f"calibration channel is numerically singular (cond {cond:.3e})")
+    return s_dec, s_decu, project_cptp(np.linalg.solve(s_dec, s_decu), s, s, opt)
 
 
 def calibrate(
@@ -189,16 +182,15 @@ def calibrate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Divide the preparation-and-measurement channel out of a raw estimate.
 
-    Both raw matrices are projected to CPTP in one batched call, the
-    projected calibration channel is inverted, and the product is projected
-    again (a product with an inverse need not be CPTP).
+    Both raw matrices are projected to CPTP in one batched call, and
+    ``s_dec^-1 s_decu`` of the projections is projected again (a product
+    with an inverse need not be CPTP).
 
     Returns ``(s_dec, s_u)``. Raises NumericalDomainError when the
     calibration channel is numerically singular (condition number above
     1e8).
     """
-    s_dec, s_decu = _project_cptp_many((s_dec_raw, s_decu_raw), s, s, opt)
-    s_u = _divide_out(s_dec, s_decu, s, opt)
+    s_dec, _, s_u = _calibrated(s_dec_raw, s_decu_raw, s, opt)
     return s_dec, s_u
 
 
@@ -251,8 +243,7 @@ def run_pipeline(
     delta = error_estimate(counts_main.shots)
     raw_cal = reconstruct_raw(freq_from_counts(counts_cal), s)
     raw_main = reconstruct_raw(freq_from_counts(counts_main), s)
-    s_dec, s_decu = _project_cptp_many((raw_cal, raw_main), s, s, opt)
-    s_u = _divide_out(s_dec, s_decu, s, opt)
+    s_dec, s_decu, s_u = _calibrated(raw_cal, raw_main, s, opt)
     meta = {"seed": (opt or OptConfig()).seed, "sic": fingerprint(s)}
     cal_report = _reconstruction(raw_cal, s_dec, delta, meta)
     main_report = _reconstruction(raw_main, s_decu, delta, meta)

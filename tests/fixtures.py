@@ -138,6 +138,28 @@ D_DECOHERE = np.array(
 )
 
 
+def gksl_action(h: np.ndarray, noise_ops, x: np.ndarray) -> np.ndarray:
+    """The GKSL map in operator form:
+    ``-i [H, X] + sum_k (V_k X V_k^H - {V_k^H V_k, X} / 2)``."""
+    out = -1j * (h @ x - x @ h)
+    for v in noise_ops:
+        vdv = v.conj().T @ v
+        out += v @ x @ v.conj().T - 0.5 * (vdv @ x + x @ vdv)
+    return out
+
+
+def pstoch_from_action(phi, sic) -> np.ndarray:
+    """Channel matrix of the linear map ``phi`` entry by entry, from its
+    action on the projectors: ``S_ij = (d+1)/d Tr[P_i phi(P_j)] - Tr[P_i phi(I)]/d``."""
+    d = sic.dim
+    offset = np.einsum("iab,ba->i", sic.projectors, phi(np.eye(d, dtype=complex))).real / d
+    s = np.empty((d * d, d * d))
+    for j in range(d * d):
+        out = phi(sic.projectors[j])
+        s[:, j] = (d + 1) / d * np.einsum("iab,ba->i", sic.projectors, out).real - offset
+    return s
+
+
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Full-rank random density matrix (Wishart construction)."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

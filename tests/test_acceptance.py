@@ -61,6 +61,7 @@ from fixtures import (
     S_GATE_QUBIT,
     S_REDUCTION_QUBIT,
     S_TRANSPOSE_QUBIT,
+    gksl_action,
     random_density,
     random_hermitian,
     random_kraus_channel,
@@ -178,17 +179,15 @@ def test_criterion_6_classical_generator_characterization():
 
 
 def rk4_density_evolution(spec, rho0, t, steps):
-    from sicprob.dynamics import _gksl_action
-
     h = np.asarray(spec.hamiltonian, dtype=complex)
     noise = [np.asarray(v, dtype=complex) for v in spec.noise_ops]
     dt = t / steps
     rho = rho0.astype(complex)
     for _ in range(steps):
-        k1 = _gksl_action(h, noise, rho)
-        k2 = _gksl_action(h, noise, rho + 0.5 * dt * k1)
-        k3 = _gksl_action(h, noise, rho + 0.5 * dt * k2)
-        k4 = _gksl_action(h, noise, rho + dt * k3)
+        k1 = gksl_action(h, noise, rho)
+        k2 = gksl_action(h, noise, rho + 0.5 * dt * k1)
+        k3 = gksl_action(h, noise, rho + 0.5 * dt * k2)
+        k4 = gksl_action(h, noise, rho + dt * k3)
         rho = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return rho
 

@@ -27,6 +27,7 @@ from fixtures import (
     S_GATE_QUBIT,
     S_REDUCTION_QUBIT,
     S_TRANSPOSE_QUBIT,
+    pstoch_from_action,
     qutrit_sic,
     random_density,
     random_kraus_channel,
@@ -207,6 +208,17 @@ def test_builtin_ptp_fixtures():
     assert np.abs(sr - S_REDUCTION_QUBIT).max() < 1e-12
     with pytest.raises(ValueError):
         builtin_ptp("nonsense", SIC)
+
+
+@pytest.mark.parametrize("sic", [SIC, SIC3], ids=["d2", "d3"])
+def test_builtin_ptp_matches_the_elementwise_reference(sic):
+    d = sic.dim
+    maps = {
+        "transposition": lambda x: x.T,
+        "reduction": lambda x: (np.trace(x) * np.eye(d) - x) / (d - 1),
+    }
+    for name, phi in maps.items():
+        assert np.abs(builtin_ptp(name, sic) - pstoch_from_action(phi, sic)).max() < 1e-12
 
 
 def test_positive_but_not_completely_positive():

@@ -113,6 +113,17 @@ def test_convert_rejects_probs_that_do_not_sum_to_one(tmp_path, capsys):
     assert "physicality" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_convert_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tmp_path, capsys, tol):
+    # the uniform vector is a valid state: nan and -1 used to reject it
+    # (exit 3), inf to accept any vector
+    path = write(tmp_path, "p.json", dump_prob_vector(np.full(4, 0.25), 2))
+    code, out, err = run_main(capsys, ["convert", path, "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "--tol" in err
+
+
 @pytest.mark.parametrize(
     "verb, option",
     [("convert", "--csv"), ("convert", "--seed"), ("convert", "--restarts"),

@@ -30,9 +30,11 @@ from fixtures import (
     H1_QUBIT,
     H2_QUBIT,
     H3_QUBIT,
+    gksl_action,
     qutrit_sic,
     random_density,
     random_hermitian,
+    random_unitary,
     rotation_z_closed_form,
 )
 
@@ -102,18 +104,16 @@ def hgen_elementwise(h, sic):
 
 def lgen_elementwise(spec, sic):
     """Independent trace-formula route to the full generator."""
-    from sicprob.dynamics import _gksl_action
-
     d = sic.dim
     n = d * d
     h = np.asarray(spec.hamiltonian, dtype=complex)
     noise = [np.asarray(v, dtype=complex) for v in spec.noise_ops]
     out = np.zeros((n, n))
-    act_eye = _gksl_action(h, noise, np.eye(d, dtype=complex))
+    act_eye = gksl_action(h, noise, np.eye(d, dtype=complex))
     for i in range(n):
         off = np.trace(sic.projectors[i] @ act_eye).real / d
         for j in range(n):
-            img = _gksl_action(h, noise, sic.projectors[j])
+            img = gksl_action(h, noise, sic.projectors[j])
             out[i, j] = (d + 1) / d * np.trace(sic.projectors[i] @ img).real - off
     return out
 
@@ -387,6 +387,31 @@ def test_kolmogorov_custom_basis():
     assert np.abs(k.sum(axis=0)).max() < 1e-12
     with pytest.raises(ValueError):
         kolmogorov_matrix(GkslSpec(2, np.zeros((2, 2)), (v,)), np.eye(2) * 2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kolmogorov_matrix_matches_the_operator_form(d):
+    rng = np.random.default_rng(370 + d)
+    for _ in range(5):
+        h = random_hermitian(rng, d)
+        noise = tuple(
+            0.5 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            for _ in range(2)
+        )
+        basis = random_unitary(rng, d)
+        projs = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)]
+        want = np.array(
+            [[np.trace(p_i @ gksl_action(h, noise, p_j)).real for p_j in projs] for p_i in projs]
+        )
+        assert np.abs(kolmogorov_matrix(GkslSpec(d, h, noise), basis) - want).max() < 1e-12
+
+
+def test_gksl_spec_dim_must_match_the_hamiltonian():
+    spec = GkslSpec(5, np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="spec.dim is 5"):
+        lgen_from_gksl(spec, SIC)
+    with pytest.raises(ValueError, match="spec.dim is 5"):
+        kolmogorov_matrix(spec)
 
 
 def test_omega_elements_have_zero_column_sums():

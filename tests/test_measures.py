@@ -38,6 +38,7 @@ from fixtures import (
     random_density,
     random_hermitian,
 )
+from frame_cases import outputs as frame_case_outputs
 
 SIC = builtin_qubit()
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -153,6 +154,21 @@ def test_batched_rotations_match_expm(dim):
         u = mat_exp(np.einsum("i,iab->ab", lam[k], b))
         assert np.abs(rotations[k] - u).max() <= 1e-12
         assert abs(max(0.0, -off[k].min()) - negativity(u @ lmat @ u.T)) <= 1e-12
+
+
+@pytest.mark.bits
+def test_frame_search_matches_recorded_bits():
+    # value, lam bytes, scored frames and agreeing starts of 144 searches
+    # (see frame_cases.py): any change to the screen, the descent or the
+    # refinement's arithmetic shows here
+    with open(DATA / "delta_quant_frames_d2.json", encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    got = frame_case_outputs()
+    assert got.keys() == recorded.keys() == {"restarts2", "restarts8", "restarts32"}
+    for key, rows in recorded.items():
+        assert len(rows) == 48
+        for new, old in zip(got[key], rows, strict=True):
+            assert new == old
 
 
 def test_delta_quant_no_worse_than_recorded_search():

@@ -209,6 +209,23 @@ def test_load_counts_rejects_fractional_counts():
     assert whole.counts.dtype == np.int64
 
 
+@pytest.mark.parametrize(
+    "load, obj, key",
+    [
+        (load_density, {"dim": True, "matrix": [[1.0, 0.0]]}, "dim"),
+        (load_prob_vector, {"dim": True, "probs": [1.0]}, "dim"),
+        (load_pstoch, {"dim_in": True, "dim_out": 1, "matrix": [[1.0]]}, "dim_in"),
+        (load_kraus_channel, {"dim_in": 1, "dim_out": True, "kraus": [[[1.0, 0.0]]]}, "dim_out"),
+        (load_counts, {"dim": 2, "shots": True, "counts": [[1, 0, 0, 0]] * 4}, "shots"),
+        (load_counts, {"dim": 2, "shots": 1, "counts": [[True, 0, 0, 0]] * 4}, "counts"),
+    ],
+)
+def test_json_booleans_are_not_integers(load, obj, key):
+    # isinstance(True, int) holds: "shots": true used to run as 1 shot
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        load(obj)
+
+
 def old_encode_complex_matrix(m):
     """The per-entry encoder the whole-array one replaced: the reference."""
     return [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).reshape(-1)]

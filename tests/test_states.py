@@ -202,6 +202,20 @@ def test_mub_fixtures():
     assert np.abs(_MUB_C - MUB_C_QUBIT).max() < 1e-12
 
 
+def test_mub_forward_matrix_is_the_response_of_the_axis_effects():
+    from sicprob.states import _MUB_F
+
+    paulis = [
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]]),
+        np.diag([1.0, -1.0]).astype(complex),
+    ]
+    # row k is the + outcome of the two-outcome POVM {(I + s_k)/2, (I - s_k)/2}
+    rows = [measurement_map([(np.eye(2) + p) / 2, (np.eye(2) - p) / 2], builtin_qubit()).bigm[0]
+            for p in paulis]  # fmt: skip
+    assert np.abs(_MUB_F - np.array(rows)).max() < 1e-12
+
+
 def test_mub_round_trip():
     rng = np.random.default_rng(50)
     for _ in range(50):
