@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from ._optim import OptConfig
+from .linalg import _taylor_exp
 
 # Frames every search evaluates in one batched call before refining.
 _SCREEN_SIZE = 1024
@@ -63,11 +64,10 @@ def _frame_rotations(lam: np.ndarray, basis: np.ndarray) -> np.ndarray:
     Every generator ``B`` of the stack is real antisymmetric with zero
     column sums. For the qubit (4 x 4) that leaves one rotation plane, so
     ``B^3 = -theta^2 B`` with ``theta^2 = |B|_F^2 / 2`` and Rodrigues'
-    formula is exact. Larger frames use the Taylor series with scaling and
-    squaring in real arithmetic, batched: one scaling for the whole stack
-    brings every 1-norm to at most 1/2, where 14 terms leave a remainder
-    below 1e-16. A batched ``eigh`` of ``i B`` does the same job about three
-    times slower on 9 x 9 frames.
+    formula is exact. Larger frames use ``mat_exp``'s Taylor series with
+    scaling and squaring in real arithmetic, batched over the stack. A
+    batched ``eigh`` of ``i B`` does the same job about three times slower
+    on 9 x 9 frames.
     """
     nlam, n, _ = basis.shape
     gen = (lam @ basis.reshape(nlam, n * n)).reshape(-1, n, n)
@@ -77,23 +77,17 @@ def _frame_rotations(lam: np.ndarray, basis: np.ndarray) -> np.ndarray:
         sinc = (np.sin(theta) / theta)[:, None, None]
         half_sinc = (np.sin(0.5 * theta) / (0.5 * theta))[:, None, None]
         return np.eye(n) + sinc * gen + 0.5 * half_sinc**2 * (gen @ gen)
-    norm = float(np.abs(gen).sum(axis=1).max())
-    squarings = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
-    scaled = gen / 2.0**squarings
-    rot = np.eye(n) + scaled
-    term = scaled
-    for k in range(2, 15):
-        term = term @ scaled / k
-        rot = rot + term
-    for _ in range(squarings):
-        rot = rot @ rot
-    return rot
+    return _taylor_exp(gen)
 
 
 def _rotated_off_diagonals(lmat: np.ndarray, basis: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Off-diagonal entries of ``U L U^T`` for every row of ``lam``."""
-    rotated = _conjugate(lmat, _frame_rotations(lam, basis)).reshape(len(lam), -1)
-    return rotated[:, _off_diagonal_index(len(lmat))]
+    return _off_diagonals(_conjugate(lmat, _frame_rotations(lam, basis)))
+
+
+def _off_diagonals(m: np.ndarray) -> np.ndarray:
+    """Off-diagonal entries of every matrix of a stack, one row each."""
+    return m.reshape(len(m), -1)[:, _off_diagonal_index(m.shape[-1])]
 
 
 def _conjugate(lmat: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -105,7 +99,12 @@ def _conjugate(lmat: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _rotated_negativities(lmat: np.ndarray, basis: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """``negativity(U L U^T)`` for every row of ``lam``."""
-    return np.maximum(0.0, -_rotated_off_diagonals(lmat, basis, lam).min(axis=1))
+    return _negativities(_conjugate(lmat, _frame_rotations(lam, basis)))
+
+
+def _negativities(m: np.ndarray) -> np.ndarray:
+    """``negativity`` of every matrix of a stack."""
+    return np.maximum(0.0, -_off_diagonals(m).min(axis=1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,21 +113,35 @@ def _off_diagonal_index(n: int) -> np.ndarray:
     return np.flatnonzero(~np.eye(n, dtype=bool))
 
 
-def _screen(d: int, nlam: int, seed: int) -> np.ndarray:
-    """``_SCREEN_SIZE`` frames: ``lam = 0``, then uniform in a ball.
+def _screen(basis: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_SCREEN_SIZE`` frames and their rotations: ``lam = 0``, then
+    uniform in a ball.
 
     With the normalization of ``basis_hunit`` the radius
     ``pi sqrt((d^2 - 1) / (6 d))`` reaches the frames whose ``u`` has evenly
     spaced eigenphases, such as the clock matrix. For the qubit it is
     ``pi / 2``, where ``u`` and ``-u`` meet, so the ball holds every frame
-    once.
+    once. The frames depend on the basis and the seed alone, so they are
+    built once for each pair and shared, read-only, by every search.
     """
+    return _screen_frames(seed, basis.shape, basis.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _screen_frames(seed: int, shape: tuple[int, ...], data: bytes):
+    basis = np.frombuffer(data).reshape(shape)
+    nlam, n, _ = shape
+    d = math.isqrt(n)
     rng = np.random.default_rng(seed)
     radius = math.pi * math.sqrt((d * d - 1) / (6 * d))
     direction = rng.standard_normal((_SCREEN_SIZE - 1, nlam))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     r = radius * rng.uniform(size=(_SCREEN_SIZE - 1, 1)) ** (1.0 / nlam)
-    return np.concatenate([np.zeros((1, nlam)), r * direction])
+    lam = np.concatenate([np.zeros((1, nlam)), r * direction])
+    u = _frame_rotations(lam, basis)
+    lam.setflags(write=False)
+    u.setflags(write=False)
+    return lam, u
 
 
 def _descend(lmat, basis, lam, neg, step, steps: int):
@@ -447,8 +460,8 @@ def search(
     nlam = basis.shape[0]
     refine = max(opt.restarts, _MIN_REFINED)
 
-    lam = _screen(math.isqrt(len(lmat)), nlam, opt.seed)
-    neg = _rotated_negativities(lmat, basis, lam)
+    lam, u = _screen(basis, opt.seed)
+    neg = _negativities(_conjugate(lmat, u))
     evaluations = len(lam)
     step = np.full(len(lam), _DESCENT_STEP)
     for keep, steps in _DESCENT:

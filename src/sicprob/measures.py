@@ -27,7 +27,7 @@ from .dynamics import (
     project_unit,
 )
 from .errors import _require_finite
-from .linalg import frobenius_dist, mat_exp, mat_log_real
+from .linalg import _log_real_and_exp, frobenius_dist, mat_exp
 from .sic import SicPovm
 from .states import MeasurementMap
 
@@ -162,7 +162,8 @@ def delta_quant(
 def _markov_parts(
     s_matrix: np.ndarray, s: SicPovm, opt: OptConfig | None, basis: np.ndarray | None = None
 ):
-    """Log, unitary part, dissipative fit, its residual and ``S_mark``.
+    """Log, its exponential, unitary part, dissipative fit, its residual
+    and ``S_mark``.
 
     The one Markov path: takes the real principal log of the matrix, keeps
     its unitary part, projects the remainder onto valid dissipative parts
@@ -170,19 +171,19 @@ def _markov_parts(
     has it already. Raises LogBranchError (with the offending eigenvalues)
     when the log does not exist on the principal branch.
     """
-    lmat = mat_log_real(np.asarray(s_matrix, dtype=float))
+    lmat, exp_log = _log_real_and_exp(np.asarray(s_matrix, dtype=float))
     if basis is None:
         basis = basis_hunit(s)
     h_part = project_unit(lmat, basis)
     d_proj, residual = project_mark(lmat - h_part, s, opt)
     s_mark = mat_exp(h_part + d_proj)
-    return lmat, h_part, d_proj, residual, s_mark
+    return lmat, exp_log, h_part, d_proj, residual, s_mark
 
 
 def delta_nmark(s_matrix: np.ndarray, s: SicPovm, opt: OptConfig | None = None) -> float:
     """Non-Markovianity: ``sqrt(frobenius_dist(S, S_mark)) / d^2``."""
     s_matrix = np.asarray(s_matrix, dtype=float)
-    return _nmark_distance(s_matrix, _markov_parts(s_matrix, s, opt)[4])
+    return _nmark_distance(s_matrix, _markov_parts(s_matrix, s, opt)[5])
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,9 @@ def _nmark_distance(s_matrix: np.ndarray, s_mark: np.ndarray) -> float:
     return math.sqrt(frobenius_dist(s_matrix, s_mark)) / len(s_matrix)
 
 
-def _markov_report(s_matrix: np.ndarray, lmat: np.ndarray, s_mark: np.ndarray) -> MarkovReport:
+def _markov_report(s_matrix: np.ndarray, exp_log: np.ndarray, s_mark: np.ndarray) -> MarkovReport:
     """``delta_nmark`` and the reconstruction error of the log."""
-    log_resid = math.sqrt(frobenius_dist(mat_exp(lmat), s_matrix))
+    log_resid = math.sqrt(frobenius_dist(exp_log, s_matrix))
     return MarkovReport(
         delta_nmark=_nmark_distance(s_matrix, s_mark), s_mark=s_mark, log_residual=log_resid
     )
@@ -220,8 +221,8 @@ def markov_report(
     extraction itself was.
     """
     s_matrix = np.asarray(s_matrix, dtype=float)
-    lmat, _, _, _, s_mark = _markov_parts(s_matrix, s, opt)
-    return _markov_report(s_matrix, lmat, s_mark)
+    _, exp_log, _, _, _, s_mark = _markov_parts(s_matrix, s, opt)
+    return _markov_report(s_matrix, exp_log, s_mark)
 
 
 @dataclass(frozen=True)
@@ -251,13 +252,13 @@ def analyze_evolution(
     """
     s_matrix = np.asarray(s_matrix, dtype=float)
     basis = basis_hunit(s)
-    lmat, h_part, d_proj, residual, s_mark = _markov_parts(s_matrix, s, opt, basis)
+    lmat, exp_log, h_part, d_proj, residual, s_mark = _markov_parts(s_matrix, s, opt, basis)
     return EvolutionAnalysis(
         log=lmat,
         h_part=h_part,
         d_part=lmat - h_part,
         quant=delta_quant_detail(h_part + d_proj, basis, opt),
-        mark=_markov_report(s_matrix, lmat, s_mark),
+        mark=_markov_report(s_matrix, exp_log, s_mark),
         markov_residual=residual,
     )
 

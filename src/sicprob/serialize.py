@@ -4,10 +4,14 @@ Complex matrices are stored as row-major flat lists of ``[re, im]`` pairs;
 real matrices as nested row lists. Decoders validate shape, type and
 finiteness (JSON admits ``NaN`` and ``Infinity``) and raise ValueError with
 the offending key, leaving physical validation to the constructors they
-feed. Both directions convert whole arrays at once.
+feed. Both directions convert whole arrays at once; a number is a JSON
+number, never a string or a boolean, although NumPy would read both.
 """
 
 from __future__ import annotations
+
+import itertools
+import numbers
 
 import numpy as np
 
@@ -42,6 +46,28 @@ __all__ = [
 ]
 
 
+_JSON_NUMBERS = frozenset((int, float))
+
+
+def _only_numbers(data, depth: int) -> bool:
+    """True iff every leaf ``depth`` lists deep in ``data`` is a number.
+
+    One pass over the leaves' types. JSON numbers decode as ``int`` or
+    ``float``; NumPy scalars count too, ``bool`` (an ``int``) does not.
+    """
+    for _ in range(depth - 1):
+        data = itertools.chain.from_iterable(data)
+    types = set(map(type, data))
+    return types <= _JSON_NUMBERS or all(
+        issubclass(t, numbers.Real) and not issubclass(t, bool) for t in types
+    )
+
+
+def _require_numbers(data, depth: int, key: str) -> None:
+    if not _only_numbers(data, depth):
+        raise ValueError(f"'{key}' entries must be numbers, not strings or booleans")
+
+
 def encode_complex_matrix(m: np.ndarray) -> list[list[float]]:
     pairs = np.ascontiguousarray(m, dtype=complex).reshape(-1, 1).view(float)
     return pairs.tolist()
@@ -56,6 +82,7 @@ def decode_complex_matrix(data, rows: int, cols: int, key: str) -> np.ndarray:
         raise ValueError(f"'{key}' entries must be [re, im] pairs") from exc
     if pairs.shape != (rows * cols, 2):
         raise ValueError(f"'{key}' entries must be [re, im] pairs")
+    _require_numbers(data, 2, key)
     _require_finite(pairs, f"'{key}'")
     return pairs.view(complex).reshape(rows, cols)
 
@@ -67,6 +94,7 @@ def _real_array(data, shape: tuple[int, ...], key: str) -> np.ndarray:
         raise ValueError(f"'{key}' must be a (nested) list of numbers") from exc
     if m.shape != shape:
         raise ValueError(f"'{key}' has shape {m.shape}, expected {shape}")
+    _require_numbers(data, len(shape), key)
     _require_finite(m, f"'{key}'")
     return m
 
@@ -152,6 +180,7 @@ def load_kraus_channel(obj: dict) -> tuple[int, int, list[np.ndarray]]:
         pairs is None
         or pairs.shape != (len(kraus), d_out * d_in, 2)
         or not all(isinstance(a, list) for a in kraus)
+        or not _only_numbers(kraus, 3)
         or np.count_nonzero(np.isfinite(pairs)) != pairs.size
     ):
         ops = [decode_complex_matrix(a, d_out, d_in, f"kraus[{k}]") for k, a in enumerate(kraus)]
@@ -241,8 +270,7 @@ def load_counts(obj: dict) -> CountsRecord:
         raise ValueError("'counts' must be a nested list of integers, got fractional entries")
     if counts.shape != (n, n):
         raise ValueError(f"'counts' has shape {counts.shape}, expected ({n}, {n})")
-    if any(isinstance(x, bool) for row in raw for x in row):
-        raise ValueError("'counts' must be a nested list of integers, got booleans")
+    _require_numbers(raw, 2, "counts")
     return CountsRecord(dim=d, shots=shots, counts=counts)
 
 

@@ -114,7 +114,7 @@ def test_criterion_4_reference_table_regression():
     opt_parts = OptConfig(restarts=8, seed=0)
     opt_quant = OptConfig(restarts=32, seed=0)
 
-    _, h_u, d_u, _, s_mark_u = _markov_parts(S_DRIVE, SIC, opt_parts)
+    _, _, h_u, d_u, _, s_mark_u = _markov_parts(S_DRIVE, SIC, opt_parts)
     assert np.abs(h_u - H_DRIVE).max() < 0.01
     assert np.abs(d_u - D_DRIVE).max() < 0.02
     dn_u = np.sqrt(np.sum((S_DRIVE - s_mark_u) ** 2)) / 4
@@ -122,7 +122,7 @@ def test_criterion_4_reference_table_regression():
     quant_u = delta_quant_detail(h_u + d_u, b, opt_quant)
     assert 0.76 < quant_u.value < 0.80
 
-    _, h_d, d_d, _, s_mark_d = _markov_parts(S_DECOHERE, SIC, opt_parts)
+    _, _, h_d, d_d, _, s_mark_d = _markov_parts(S_DECOHERE, SIC, opt_parts)
     assert np.abs(h_d - H_DECOHERE).max() < 0.01
     assert np.abs(d_d - D_DECOHERE).max() < 0.02
     dn_d = np.sqrt(np.sum((S_DECOHERE - s_mark_d) ** 2)) / 4

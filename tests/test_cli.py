@@ -162,6 +162,17 @@ def test_convert_nonfinite_input_is_input_error(tmp_path, capsys, kind):
     assert "input error" in err and "non-finite" in err
 
 
+def test_convert_string_and_boolean_entries_are_input_errors(tmp_path, capsys):
+    # both used to decode as numbers: "0.25" as 0.25 and true as 1
+    obj = dump_prob_vector(np.full(4, 0.25), 2)
+    obj["probs"] = ["0.25", 0.25, True, 0.5]
+    path = write(tmp_path, "probs.json", obj)
+    code, out, err = run_main(capsys, ["convert", path])
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "'probs' entries must be numbers" in err
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_main(capsys, ["convert", "/nonexistent/nope.json"])
     assert code == 2

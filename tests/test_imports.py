@@ -1,7 +1,10 @@
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import numpy as np
 
 import sicprob
 
@@ -64,8 +67,8 @@ def test_setup_does_not_load_hashlib():
     assert proc.stdout.strip() == "[]"
 
 
-# A fresh interpreter: analyze a qubit evolution and list the optimizer
-# modules loaded.
+# A fresh interpreter: analyze a qubit evolution and list the SciPy modules
+# loaded.
 ANALYZE_SCRIPT = """
 import sys
 import numpy as np
@@ -74,13 +77,14 @@ import sicprob as sp
 sic = sp.builtin_qubit()
 s = sp.kraus_to_pstoch([np.diag([1, np.exp(0.4j)])], sic, sic)
 sp.analyze_evolution(0.98 * s + 0.02 * np.eye(4), sic, sp.OptConfig(restarts=2))
-print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
 
 
 def test_analysis_does_not_load_scipy_optimize():
-    # the frame search and project_mark are SciPy-free; scipy.linalg still
-    # serves logm and expm
+    # the frame search, project_mark, the matrix exponential and the
+    # eigendecomposition log are NumPy only; SciPy's logm serves just the
+    # defective matrices the log's round-trip check rejects
     src = pathlib.Path(sicprob.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
@@ -88,3 +92,39 @@ def test_analysis_does_not_load_scipy_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# A fresh interpreter: run `sicprob analyze` on a file and list the SciPy
+# modules loaded.
+CLI_ANALYZE_SCRIPT = """
+import sys
+from sicprob.cli import main
+
+code = main(["analyze", sys.argv[1], "--restarts", "2", "--out", sys.argv[2]])
+print(code, sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_cli_analyze_does_not_load_scipy(tmp_path):
+    # a raw estimate from 4096 shots of a damped rotation, as `sicprob
+    # analyze` reads one
+    from sicprob.channels import kraus_to_pstoch
+    from sicprob.serialize import dump_pstoch
+    from sicprob.tomography import freq_from_counts, reconstruct_raw, simulate_counts
+
+    sic = sicprob.builtin_qubit()
+    rot = np.array([[np.cos(0.3), -1j * np.sin(0.3)], [-1j * np.sin(0.3), np.cos(0.3)]])
+    damp = [np.diag([1.0, np.sqrt(0.9)]), np.array([[0.0, np.sqrt(0.1)], [0.0, 0.0]])]
+    s = kraus_to_pstoch([a @ rot for a in damp], sic, sic)
+    raw = reconstruct_raw(freq_from_counts(simulate_counts(s, sic, shots=4096, seed=5)), sic)
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(dump_pstoch(raw, 2, 2)), encoding="utf-8")
+    src = pathlib.Path(sicprob.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_ANALYZE_SCRIPT, str(path), str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    # the verb prints its table first
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"

@@ -55,6 +55,12 @@ def test_mat_exp_rejects_nonsquare_and_nonfinite():
         mat_exp(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_mat_exp_rejects_overflowing_norm():
+    # finite entries whose 1-norm overflows leave no scaling to pick
+    with pytest.raises(ValueError, match="overflows"), np.errstate(over="ignore"):
+        mat_exp(np.full((2, 2), 1e308))
+
+
 def test_mat_log_real_round_trip():
     rng = np.random.default_rng(21)
     for _ in range(20):
@@ -155,3 +161,58 @@ def test_frobenius_dist_rejects_nonfinite(bad):
         frobenius_dist(np.full((2, 2), bad), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="non-finite"):
         frobenius_dist(np.zeros((2, 2)), np.full((2, 2), bad))
+
+
+def _gksl_channels():
+    """Seeded GKSL generators at d=2 and d=3 and their channels at four times."""
+    from sicprob.dynamics import GkslSpec, lgen_from_gksl
+    from sicprob.sic import builtin_qubit
+
+    from fixtures import qutrit_sic
+
+    out = []
+    for dim, sic in ((2, builtin_qubit()), (3, qutrit_sic())):
+        rng = np.random.default_rng(40 + dim)
+        for _ in range(10):
+            noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            spec = GkslSpec(dim, random_hermitian(rng, dim), (0.3 * noise,))
+            lmat = lgen_from_gksl(spec, sic).matrix
+            out.extend((lmat * t) for t in (0.25, 1.0, 2.0, 5.0))
+    return out
+
+
+def test_mat_exp_matches_scipy_expm_on_gksl_generators():
+    import scipy.linalg
+
+    for g in _gksl_channels():
+        want = scipy.linalg.expm(g)
+        assert np.abs(mat_exp(g) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_mat_log_real_matches_scipy_logm_without_fallback(monkeypatch):
+    import scipy.linalg
+
+    logm = scipy.linalg.logm
+    channels = [scipy.linalg.expm(g) for g in _gksl_channels()]
+    wanted = [logm(s).real for s in channels]
+
+    def no_fallback(s):
+        raise AssertionError("well-conditioned channel took the logm fallback")
+
+    monkeypatch.setattr(scipy.linalg, "logm", no_fallback)
+    for s, want in zip(channels, wanted):
+        assert np.abs(mat_log_real(s) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_mat_log_real_defective_input_takes_the_logm_fallback(monkeypatch):
+    # a Jordan block has one eigenvector, so V diag(log w) V^-1 cannot
+    # represent its log; exponentiating the eigendecomposition log back
+    # exposes that
+    import scipy.linalg
+
+    calls = []
+    logm = scipy.linalg.logm
+    monkeypatch.setattr(scipy.linalg, "logm", lambda s: calls.append(s) or logm(s))
+    l = mat_log_real(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    assert len(calls) == 1
+    assert np.abs(l - np.array([[0.0, 0.5], [0.0, 0.0]])).max() < 1e-14

@@ -156,6 +156,18 @@ def test_batched_rotations_match_expm(dim):
         assert abs(max(0.0, -off[k].min()) - negativity(u @ lmat @ u.T)) <= 1e-12
 
 
+def test_screen_is_built_once_per_basis_and_seed():
+    # every search with one basis and seed scores the same 1024 frames, so
+    # they are built once and shared read-only
+    b = basis_hunit(SIC)
+    lam, u = _framesearch._screen(b, 0)
+    again = _framesearch._screen(b.copy(), 0)
+    assert again[0] is lam and again[1] is u
+    assert not lam.flags.writeable and not u.flags.writeable
+    assert np.array_equal(u, _frame_rotations(np.array(lam), b))
+    assert _framesearch._screen(b, 1)[0] is not lam
+
+
 @pytest.mark.bits
 def test_frame_search_matches_recorded_bits():
     # value, lam bytes, scored frames and agreeing starts of 144 searches
@@ -404,7 +416,7 @@ def test_delta_quant_on_dissipative_table_matrix():
     # the decoherent channel's generator is classical up to tiny negativity
     from sicprob.measures import _markov_parts
 
-    lmat, h_part, d_proj, _, _ = _markov_parts(
+    _, _, h_part, d_proj, _, _ = _markov_parts(
         S_DECOHERE, SIC, OptConfig(restarts=6, seed=21)
     )
     val = delta_quant(

@@ -344,3 +344,56 @@ def test_decoders_reject_nonfinite(bad):
     amp["amplitudes"][1][0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         load_fiducial(amp)
+
+
+# JSON strings and booleans that np.array(..., dtype=float) would read as
+# numbers: "0.25" as 0.25, true as 1.
+NOT_NUMBERS = ["0.25", True, False]
+
+
+@pytest.mark.parametrize("leaf", NOT_NUMBERS)
+def test_real_array_decoder_rejects_strings_and_booleans(leaf):
+    obj = dump_prob_vector(np.full(4, 0.25), 2)
+    obj["probs"][1] = leaf
+    with pytest.raises(ValueError, match="'probs' entries must be numbers"):
+        load_prob_vector(obj)
+    with pytest.raises(ValueError, match="'probs' entries must be numbers"):
+        load_prob_vector({"dim": 2, "probs": [leaf] * 4})
+    obj = dump_pstoch(np.eye(4), 2, 2)
+    obj["matrix"][2][3] = leaf
+    with pytest.raises(ValueError, match="'matrix' entries must be numbers"):
+        load_pstoch(obj)
+
+
+@pytest.mark.parametrize("leaf", NOT_NUMBERS)
+def test_complex_decoder_rejects_strings_and_booleans(leaf):
+    data = encode_complex_matrix(np.eye(2))
+    data[1][0] = leaf
+    with pytest.raises(ValueError, match="'m' entries must be numbers"):
+        decode_complex_matrix(data, 2, 2, "m")
+    obj = dump_density(np.eye(2) / 2, 2)
+    obj["matrix"][0] = [leaf, 0]
+    with pytest.raises(ValueError, match="'matrix' entries must be numbers"):
+        load_density(obj)
+    # the whole-set Kraus decoder hands the set to the per-operator one,
+    # which names the operator
+    obj = dump_kraus_channel([np.eye(2), np.zeros((2, 2))], 2, 2)
+    obj["kraus"][1][3][1] = leaf
+    with pytest.raises(ValueError, match=r"'kraus\[1\]' entries must be numbers"):
+        load_kraus_channel(obj)
+
+
+@pytest.mark.parametrize("leaf", ["4", "0", True])
+def test_counts_decoder_rejects_strings_and_booleans(leaf):
+    rows = [[1024, 0, 0, 0] for _ in range(4)]
+    rows[2][1] = leaf
+    with pytest.raises(ValueError, match="'counts' entries must be numbers"):
+        load_counts({"dim": 2, "shots": 1024, "counts": rows})
+
+
+def test_decoders_accept_numpy_scalars():
+    # a caller's own dict may hold NumPy scalars rather than JSON numbers
+    _, p = load_prob_vector({"dim": 1, "probs": [np.float64(1.0)]})
+    assert p.tolist() == [1.0]
+    rows = [[np.int64(5), 0, 0, 0]] * 4
+    assert load_counts({"dim": 2, "shots": 5, "counts": rows}).counts[0, 0] == 5
