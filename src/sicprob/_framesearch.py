@@ -5,6 +5,8 @@ Minimizes ``negativity(U L U^T)`` over the frame rotations
 frames built in closed form, a batched compass descent of the best of them,
 and a Newton refinement of the best distinct ones on the minimax problem,
 every start a lane of one lock-step loop with exact commutator derivatives.
+Each frame is its rotation ``U`` from the screen on, moved by retraction
+steps ``exp(delta) U``; ``lam`` is read from the best rotation at the end.
 NumPy only: the same steps, and the same bits, with any number of BLAS
 threads. ``measures`` checks the inputs and imports this module on the
 first search.
@@ -28,8 +30,10 @@ _DESCENT = ((256, 2), (64, 10))
 _DESCENT_STEP = 0.1
 # Refined starts are descended frames at least this far apart in ``lam``.
 _START_SEPARATION = 0.3
-# Fewest frames refined, whatever ``OptConfig.restarts`` asks for.
+# Fewest frames refined, whatever ``OptConfig.restarts`` asks for (or 2 nlam).
 _MIN_REFINED = 8
+# Rounds of the refinement's lock-step loop.
+_REFINE_ROUNDS = 500
 # A lane has converged once its step promises less than this decrease.
 _CONVERGED = 1e-14
 # A lane stops after an accepted full step that promised less than this.
@@ -80,11 +84,6 @@ def _frame_rotations(lam: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return _taylor_exp(gen)
 
 
-def _rotated_off_diagonals(lmat: np.ndarray, basis: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Off-diagonal entries of ``U L U^T`` for every row of ``lam``."""
-    return _off_diagonals(_conjugate(lmat, _frame_rotations(lam, basis)))
-
-
 def _off_diagonals(m: np.ndarray) -> np.ndarray:
     """Off-diagonal entries of every matrix of a stack, one row each."""
     return m.reshape(len(m), -1)[:, _off_diagonal_index(m.shape[-1])]
@@ -95,11 +94,6 @@ def _conjugate(lmat: np.ndarray, u: np.ndarray) -> np.ndarray:
     ``U L`` is one GEMM over the stacked rows."""
     ul = (u.reshape(-1, u.shape[-1]) @ lmat).reshape(u.shape)
     return ul @ u.transpose(0, 2, 1)
-
-
-def _rotated_negativities(lmat: np.ndarray, basis: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """``negativity(U L U^T)`` for every row of ``lam``."""
-    return _negativities(_conjugate(lmat, _frame_rotations(lam, basis)))
 
 
 def _negativities(m: np.ndarray) -> np.ndarray:
@@ -144,27 +138,39 @@ def _screen_frames(seed: int, shape: tuple[int, ...], data: bytes):
     return lam, u
 
 
-def _descend(lmat, basis, lam, neg, step, steps: int):
-    """Batched compass search from every row of ``lam`` at once.
+def _descend(lmat, basis, lam, u, neg, count: int):
+    """Batched compass search from every frame at once, by ``_DESCENT``.
 
-    Each frame tries its own step along every coordinate, both ways, and
-    moves to its best trial if that lowers its negativity; otherwise it
-    halves its step. The negativity is V-shaped around a minimax frame, so
-    a screened frame scores by its distance from a minimum more than by the
-    minimum's depth; a few steps of descent rank the basins by depth.
+    Each frame tries its own step along every coordinate, both ways, as
+    ``exp(+-s H_i) U``, and moves to its best trial if that lowers its
+    negativity (``lam`` follows to first order); otherwise it halves its
+    step. The negativity is V-shaped around a minimax frame, so a screened
+    frame scores by its distance from a minimum more than by the minimum's
+    depth; a few steps rank the basins by depth. Returns ``lam``, ``U`` and
+    negativity of the ``count`` or more best frames, and the trials made.
     """
-    count, nlam = lam.shape
-    moves = np.concatenate([np.eye(nlam), -np.eye(nlam)])
-    rows = np.arange(count)
-    for _ in range(steps):
-        trial = lam[:, None, :] + step[:, None, None] * moves
-        val = _rotated_negativities(lmat, basis, trial.reshape(-1, nlam)).reshape(count, -1)
-        pick = val.argmin(axis=1)
-        better = val[rows, pick] < neg
-        lam = np.where(better[:, None], trial[rows, pick], lam)
-        neg = np.where(better, val[rows, pick], neg)
-        step = np.where(better, step, 0.5 * step)
-    return lam, neg, step
+    nlam, n, _ = basis.shape
+    levels = 1 + sum(steps for _, steps in _DESCENT)
+    compass = np.concatenate([np.eye(nlam), -np.eye(nlam)])
+    shifts = _DESCENT_STEP * 0.5 ** np.arange(levels)[:, None, None] * compass
+    moves = _frame_rotations(shifts.reshape(-1, nlam), basis).reshape(levels, 2 * nlam, n, n)
+    level = np.zeros(len(lam), dtype=int)
+    evaluations = 0
+    for keep, steps in _DESCENT:
+        top = np.argsort(neg, kind="stable")[: max(keep, count)]
+        lam, u, neg, level = lam[top], u[top], neg[top], level[top]
+        rows = np.arange(len(top))
+        for _ in range(steps):
+            trial = moves[level] @ u[:, None]
+            val = _negativities(_conjugate(lmat, trial.reshape(-1, n, n))).reshape(len(top), -1)
+            evaluations += val.size
+            pick = val.argmin(axis=1)
+            better = val[rows, pick] < neg
+            lam = np.where(better[:, None], lam + shifts[level, pick], lam)
+            u = np.where(better[:, None, None], trial[rows, pick], u)
+            neg = np.where(better, val[rows, pick], neg)
+            level = level + ~better
+    return lam, u, neg, evaluations
 
 
 def _spread_starts(lam: np.ndarray, neg: np.ndarray, count: int) -> np.ndarray:
@@ -187,7 +193,7 @@ def _spread_starts(lam: np.ndarray, neg: np.ndarray, count: int) -> np.ndarray:
     return np.array(picked + rest[: count - len(picked)])
 
 
-def _refine(lmat: np.ndarray, basis: np.ndarray, lam0: np.ndarray, max_iter: int):
+def _refine(lmat: np.ndarray, basis: np.ndarray, u: np.ndarray):
     """Newton on the minimax KKT system, every start a lane of one loop.
 
     Each lane keeps its rotation ``U`` and works in local coordinates
@@ -203,15 +209,15 @@ def _refine(lmat: np.ndarray, basis: np.ndarray, lam0: np.ndarray, max_iter: int
     ``sum mu_a = 1`` (Charalambous and Conn, SIAM J. Numer. Anal. 15, 162
     (1978)). Steps backtrack on the largest entry. A lane stops when its
     model promises no decrease, after a full step that promised almost
-    none, at a classical frame, or when backtracking fails. Returns the
-    final ``lam`` of each lane and the number of frames scored.
+    none, at a classical frame, or when backtracking fails. Only steps that
+    lower the largest entry are taken, so no lane ends above its start.
+    Returns each lane's final negativity, the number of frames scored and
+    each accepted step's lanes and new rotations; ``u`` is updated in place.
     """
-    count, nlam = lam0.shape
-    off = _off_diagonal_index(len(lmat))
-    u = _frame_rotations(lam0, basis)
+    nlam, off = len(basis), _off_diagonal_index(len(lmat))
     m = _conjugate(lmat, u)
-    evaluations = count
-    f = -m.reshape(count, -1)[:, off]
+    evaluations = len(u)
+    f = -_off_diagonals(m)
     fmax = f.max(axis=1)
     # the first guess at each active set: the nlam + 1 largest entries,
     # which meet at a vertex of the model; the model step checks it
@@ -219,7 +225,8 @@ def _refine(lmat: np.ndarray, basis: np.ndarray, lam0: np.ndarray, max_iter: int
     np.put_along_axis(active, np.argsort(-f, axis=1)[:, : nlam + 1], True, axis=1)
     mu = _largest(f).astype(float)
     running = fmax > 0.0
-    for _ in range(max_iter):
+    accepted = []
+    for _ in range(_REFINE_ROUNDS):
         lanes = np.flatnonzero(running)
         if lanes.size == 0:
             break
@@ -246,10 +253,11 @@ def _refine(lmat: np.ndarray, basis: np.ndarray, lam0: np.ndarray, max_iter: int
             u_try = _frame_rotations(alpha * step, basis) @ u[lanes]
             m_try = _conjugate(lmat, u_try)
             evaluations += lanes.size
-            f_try = -m_try.reshape(lanes.size, -1)[:, off]
+            f_try = -_off_diagonals(m_try)
             fmax_try = f_try.max(axis=1)
             accept = fmax_try <= fmax[lanes] - _ARMIJO * alpha * gain
             moved = lanes[accept]
+            accepted.append((moved, u_try[accept]))
             u[moved], m[moved], f[moved], fmax[moved] = (
                 u_try[accept], m_try[accept], f_try[accept], fmax_try[accept]
             )
@@ -265,7 +273,7 @@ def _refine(lmat: np.ndarray, basis: np.ndarray, lam0: np.ndarray, max_iter: int
                 break
             lanes, step, gain = lanes[keep], step[keep], gain[keep]
             alpha *= 0.5
-    return _frame_log(u, basis, lam0), evaluations
+    return np.maximum(fmax, 0.0), evaluations, accepted
 
 
 def _model_inverse(hess, grad, mu):
@@ -391,62 +399,61 @@ def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (mat @ vec[..., None])[..., 0]
 
 
-def _frame_log(u: np.ndarray, basis: np.ndarray, lam_near: np.ndarray) -> np.ndarray:
-    """``lam`` with ``exp(sum_i lam_i H_i) = U`` for a stack of rotations.
+def _frame_log(path: list[np.ndarray], basis: np.ndarray, lam_near: np.ndarray) -> np.ndarray:
+    """``lam`` with ``exp(sum_i lam_i H_i) = U`` for the last rotation of a path.
 
     For the qubit, the inverse of Rodrigues' formula: the antisymmetric
     part of ``U`` is ``sin(theta) / theta`` times the generator, and
     ``tr U = 2 + 2 cos(theta)``. Larger frames have rotations whose
     principal logarithm lies outside the span of the basis (the clock
-    frame at d=3, say), so Newton's method on the exponential takes each
-    ``lam`` from ``lam_near``, a nearby frame's parameters: the residual
-    rotation ``U exp(-sum_i lam_i H_i)`` is close to the identity, where
-    its real logarithm follows from an eigendecomposition, and the
-    derivative of the exponential at ``lam`` is ``phi(ad B)`` with
-    ``phi(z) = (e^z - 1) / z``.
+    frame at d=3, say), so Newton's method on the exponential reads each
+    rotation's ``lam`` from the last one's, the first from ``lam_near``.
+    It can diverge from a far start, so the search passes its best frame's
+    path: the descended start, whose first-order ``lam`` is near, then the
+    rotation after each refinement step. The residual ``U exp(-B)`` is
+    then close to the identity, where its real logarithm follows from an
+    eigendecomposition, and the derivative of ``exp(B)``,
+    ``B = sum_i lam_i H_i``, is ``phi(ad B)`` with ``phi(z) = (e^z - 1) / z``.
     """
-    nlam, n, _ = basis.shape
     norms = np.einsum("iab,iab->i", basis, basis)
-    if n == 4:
-        anti = 0.5 * (u - u.transpose(0, 2, 1))
-        sin = np.sqrt(0.5 * np.einsum("kab,kab->k", anti, anti))
-        theta = np.arctan2(sin, 0.5 * np.einsum("kaa->k", u) - 1.0)
-        ratio = np.where(sin > 0.0, theta / np.where(sin > 0.0, sin, 1.0), 1.0)
-        return ratio[:, None] * np.einsum("iab,kab->ki", basis, anti) / norms
+    if basis.shape[1] == 4:
+        anti = 0.5 * (path[-1] - path[-1].T)
+        sin = np.sqrt(0.5 * np.einsum("ab,ab->", anti, anti))
+        theta = np.arctan2(sin, 0.5 * np.trace(path[-1]) - 1.0)
+        return (theta / sin if sin > 0.0 else 1.0) * np.einsum("iab,ab->i", basis, anti) / norms
     # [H_l, H_j] = sum_i structure[i, l, j] H_i
     prod = np.einsum("lab,jbc->ljac", basis, basis)
     structure = np.einsum("iac,ljac->ilj", basis, prod - prod.transpose(1, 0, 2, 3))
     structure /= norms[:, None, None]
-    lam = lam_near.copy()
-    for _ in range(_LOG_ROUNDS):
-        rest = u @ _frame_rotations(lam, basis).transpose(0, 2, 1)
-        omega = np.einsum("iab,kab->ki", basis, _rotation_log(rest)) / norms
-        if np.abs(omega).max() <= _LOG_TOL:
-            break
-        # ad B = v diag(z) v^H with z = -i w
-        w, v = np.linalg.eigh(1j * np.einsum("kl,ilj->kij", lam, structure))
-        z = -1j * w
-        small = np.abs(z) < 1e-8
-        factor = np.where(small, 1.0 - 0.5 * z, z / np.where(small, 1.0, np.expm1(z)))
-        along = factor * np.einsum("kji,kj->ki", v.conj(), omega)
-        lam = lam + np.einsum("kij,kj->ki", v, along).real
+    lam = lam_near
+    for u in path:
+        for _ in range(_LOG_ROUNDS):
+            rest = u @ _frame_rotations(lam[None], basis)[0].T
+            omega = np.einsum("iab,ab->i", basis, _rotation_log(rest)) / norms
+            if np.abs(omega).max() <= _LOG_TOL:
+                break
+            # ad B = v diag(z) v^H with z = -i w
+            w, v = np.linalg.eigh(1j * np.einsum("l,ilj->ij", lam, structure))
+            z = -1j * w
+            small = np.abs(z) < 1e-8
+            factor = np.where(small, 1.0 - 0.5 * z, z / np.where(small, 1.0, np.expm1(z)))
+            lam = lam + (v @ (factor * (v.conj().T @ omega))).real
     return lam
 
 
 def _rotation_log(w: np.ndarray) -> np.ndarray:
-    """Principal real logarithm of a stack of rotations.
+    """Principal real logarithm of a rotation.
 
     The symmetric part ``S`` and antisymmetric part ``A`` of a rotation
     commute, and ``log W = f(S) A`` with ``f(cos phi) = phi / sin phi`` on
     each eigenspace of ``S``; exact while no eigenvalue of ``W`` is -1.
     """
-    cos, vec = np.linalg.eigh(0.5 * (w + w.transpose(0, 2, 1)))
+    cos, vec = np.linalg.eigh(0.5 * (w + w.T))
     cos = np.clip(cos, -1.0, 1.0)
     sin = np.sqrt(1.0 - cos * cos)
     near = sin < 1e-6
     ratio = np.where(near, 1.0 + (1.0 - cos) / 3.0, np.arccos(cos) / np.where(near, 1.0, sin))
-    anti = 0.5 * (w - w.transpose(0, 2, 1))
-    return (vec * ratio[:, None, :]) @ vec.transpose(0, 2, 1) @ anti
+    return (vec * ratio) @ vec.T @ (0.5 * (w - w.T))
 
 
 def search(
@@ -457,24 +464,14 @@ def search(
     ``agreeing`` counts the refined starts that end within ``_AGREE_TOL``
     of the best value; ``evaluations`` counts every frame scored.
     """
-    nlam = basis.shape[0]
-    refine = max(opt.restarts, _MIN_REFINED)
-
+    refine = max(opt.restarts, _MIN_REFINED, 2 * len(basis))
     lam, u = _screen(basis, opt.seed)
     neg = _negativities(_conjugate(lmat, u))
-    evaluations = len(lam)
-    step = np.full(len(lam), _DESCENT_STEP)
-    for keep, steps in _DESCENT:
-        top = np.argsort(neg, kind="stable")[: max(keep, refine)]
-        lam, neg, step = _descend(lmat, basis, lam[top], neg[top], step[top], steps)
-        evaluations += len(lam) * 2 * nlam * steps
+    lam, u, neg, descended = _descend(lmat, basis, lam, u, neg, refine)
     starts = _spread_starts(lam, neg, refine)
-    refined, used = _refine(lmat, basis, lam[starts], opt.max_iter)
-    refined_neg = _rotated_negativities(lmat, basis, refined)
-    evaluations += used + len(refined)
-    better = refined_neg <= neg[starts]  # False for a NaN end
-    lam_end = np.where(better[:, None], refined, lam[starts])
-    neg_end = np.where(better, refined_neg, neg[starts])
+    neg_end, refined, accepted = _refine(lmat, basis, u[starts])
     best = int(np.argmin(neg_end))
     agreeing = int(np.count_nonzero(neg_end <= neg_end[best] + _AGREE_TOL))
-    return float(neg_end[best]), lam_end[best], agreeing, evaluations
+    path = [u[starts[best]]] + [r[lanes == best][0] for lanes, r in accepted if best in lanes]
+    lam_best = _frame_log(path, basis, lam[starts[best]])
+    return float(neg_end[best]), lam_best, agreeing, _SCREEN_SIZE + descended + refined

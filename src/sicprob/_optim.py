@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 __all__ = ["OptConfig"]
@@ -11,23 +12,21 @@ __all__ = ["OptConfig"]
 class OptConfig:
     """Knobs shared by every optimizer-backed operation.
 
-    restarts : number of independent starts of ``project_cptp`` (the first
-    uses the unperturbed warm start) and of the refined starts of the
-    ``delta_quant`` frame search (never fewer than 8 there); max_iter :
-    iteration cap of every local solve (the rounds of the frame search's
-    Newton refinement among them), and of the ADMM iteration of
-    ``project_mark``, an exact convex solve that reads nothing else; seed :
-    base RNG seed, restart ``k`` of ``project_cptp`` uses ``seed + k`` and
-    the frame search seeds its screen with it. Stopping tolerances are
-    constants of the solvers that use them.
+    restarts : an integer of at least 1, the number of independent starts
+    of ``project_cptp`` (the first uses the unperturbed warm start) and of
+    the refined starts of the ``delta_quant`` frame search (never fewer
+    than 8 there, nor than twice the number of rotation generators); seed :
+    an integer of at least 0, the base RNG seed, restart ``k`` of
+    ``project_cptp`` uses ``seed + k`` and the frame search seeds its
+    screen with it. Other values raise ValueError. Iteration caps and
+    stopping tolerances are constants of the solvers that use them.
     """
 
     restarts: int = 8
-    max_iter: int = 500
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        for name, least in (("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")

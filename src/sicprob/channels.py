@@ -218,8 +218,9 @@ def _kraus_coeffs_from_choi(rho: np.ndarray, d: int, sig: np.ndarray) -> np.ndar
     return v0
 
 
-# projected gradient tolerance of project_cptp's L-BFGS-B stages
+# gradient tolerance and iteration cap of project_cptp's L-BFGS-B stages
 _GRAD_TOL = 1e-8
+_STAGE_MAX_ITER = 500
 
 
 def project_cptp(
@@ -300,9 +301,8 @@ def _project_cptp_many(mats, sic_in: SicPovm, sic_out: SicPovm, opt: OptConfig |
 
     from ._lbfgsb import lbfgsb_lanes
 
-    runs = lbfgsb_lanes(
-        fun_grad_many, np.array(starts), (1.0, 10.0, 100.0, 1000.0), opt.max_iter, _GRAD_TOL, 1e-14
-    )
+    mus = (1.0, 10.0, 100.0, 1000.0)
+    runs = lbfgsb_lanes(fun_grad_many, np.array(starts), mus, _STAGE_MAX_ITER, _GRAD_TOL, 1e-14)
     out = []
     for m in range(0, len(runs), restarts):
         best: tuple[float, np.ndarray] | None = None

@@ -199,9 +199,12 @@ def evolve_time_ordered(gen_fn, t: float, steps: int | None = None) -> np.ndarra
 
     ``gen_fn(t)`` returns the generator at time ``t`` (matrix or
     Generator). Defaults to 1000 steps per unit time. Later factors
-    multiply from the left, matching the time-ordering convention.
+    multiply from the left, matching the time-ordering convention. Raises
+    ValueError for a non-finite ``t``.
     """
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if steps is None:
         steps = max(1, math.ceil(1000 * abs(t)))
     if steps < 1:
@@ -339,10 +342,11 @@ def dgen_from_v(vmat: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return d.real
 
 
-# ADMM penalty, over-relaxation and stopping tolerance of project_mark
+# ADMM penalty, over-relaxation, tolerance and iteration cap of project_mark
 _ADMM_RHO = 4.0
 _ADMM_RELAX = 1.6
 _ADMM_TOL = 1e-13
+_ADMM_MAX_ITER = 500
 
 
 class _SicOps(NamedTuple):
@@ -390,23 +394,22 @@ def project_mark(
     projected matrix, built from the PSD iterate ``Z`` so that it is a
     valid dissipative part, and the Frobenius norm of the residual.
 
-    Of ``opt`` only ``max_iter`` is read: it caps the ADMM iterations.
+    ``opt`` is read by nothing: the solve has no restarts and no seed.
     Raises ValueError for a matrix of the wrong shape or with non-finite
     entries, and OptimizerError if the iteration has not converged within
-    ``opt.max_iter`` steps.
+    500 steps.
     """
-    opt = opt or OptConfig()
     n = s.dim * s.dim
     dtilde = np.asarray(dtilde, dtype=float)
     if dtilde.shape != (n, n):
         raise ValueError(f"matrix shape {dtilde.shape}, expected ({n}, {n})")
     _require_finite(dtilde, "matrix")
     ops = _sic_ops(s)
-    dproj = (ops.amat @ _mark_coefficients(dtilde, ops, opt.max_iter)).reshape(n, n)
+    dproj = (ops.amat @ _mark_coefficients(dtilde, ops)).reshape(n, n)
     return dproj, math.sqrt(frobenius_dist(dproj, dtilde))
 
 
-def _mark_coefficients(dtilde: np.ndarray, ops: _SicOps, max_iter: int) -> np.ndarray:
+def _mark_coefficients(dtilde: np.ndarray, ops: _SicOps) -> np.ndarray:
     """PSD iterate ``Z`` of ``project_mark``'s ADMM, as ``Z.view(float)``."""
     m = len(ops.sigma)
     q = ops.solve @ (ops.amat.T @ dtilde.reshape(-1))
@@ -414,7 +417,7 @@ def _mark_coefficients(dtilde: np.ndarray, ops: _SicOps, max_iter: int) -> np.nd
     tol = _ADMM_TOL * max(1.0, float(np.abs(dtilde).max()))
     z = np.zeros_like(q)
     u = np.zeros_like(q)
-    for _ in range(max_iter):
+    for _ in range(_ADMM_MAX_ITER):
         p = q + step @ (z - u)
         w = _ADMM_RELAX * p + (1.0 - _ADMM_RELAX) * z + u
         h = w.view(complex).reshape(m, m)
@@ -427,6 +430,6 @@ def _mark_coefficients(dtilde: np.ndarray, ops: _SicOps, max_iter: int) -> np.nd
         if primal <= tol and dual <= tol:
             return z
     raise OptimizerError(
-        f"Markov projection did not converge in {max_iter} ADMM iterations "
+        f"Markov projection did not converge in {_ADMM_MAX_ITER} ADMM iterations "
         f"(primal residual {primal:.1e}, dual residual {dual:.1e})"
     )

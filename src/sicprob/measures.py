@@ -78,8 +78,8 @@ class DeltaQuantReport:
     """Best frame found by the nonclassicality search.
 
     ``evaluations`` counts the frames the search scored: the screen, every
-    descent trial, the start and every trial step of each refined lane, and
-    the lanes' final frames.
+    descent trial, and the start and every trial step of each refined lane.
+    A lane ends on a frame already scored, so final frames count once.
     """
 
     value: float
@@ -105,14 +105,14 @@ def delta_quant_detail(
     2. The best 256 take two steps of a batched compass descent, and the
        best 64 of those ten more, so that the frames rank by the depth of
        their basin.
-    3. The best ``max(opt.restarts, 8)`` descended frames that lie apart
-       are refined together, as lanes of one loop of at most
-       ``opt.max_iter`` rounds, by Newton's method on the minimax problem
-       ``min t`` subject to ``t + (U L U^T)_ij >= 0`` (``i != j``): exact
-       commutator derivatives of ``U L U^T``, an active-set model problem
-       per lane, and a backtracking step on the largest negativity. The
-       lanes converge to the minimax frames themselves, and a refined
-       start never ends above its descended value.
+    3. The best ``max(opt.restarts, 8, 2 len(b))`` descended frames that
+       lie apart are refined together, as lanes of one loop of at most 500
+       rounds, by Newton's method on the minimax problem ``min t`` subject
+       to ``t + (U L U^T)_ij >= 0`` (``i != j``): exact commutator
+       derivatives of ``U L U^T``, an active-set model problem per lane,
+       and a backtracking step on the largest negativity. The lanes
+       converge to the minimax frames themselves, never above their
+       descended values, and ``lam`` is read from the best one's rotation.
 
     ``restarts_agreeing`` counts the refined starts that end within 1e-3 of
     the best. The reported value is an upper bound of the true infimum;

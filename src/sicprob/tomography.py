@@ -133,8 +133,8 @@ def reconstruct_raw(freqs: np.ndarray, s: SicPovm) -> np.ndarray:
 
 def error_estimate(shots: int) -> float:
     """Worst-case statistical error per matrix entry, ``1/sqrt(N)``."""
-    if shots < 1:
-        raise ValueError(f"shots must be at least 1, got {shots}")
+    if not 1 <= shots < math.inf:
+        raise ValueError(f"shots must be finite and at least 1, got {shots}")
     return 1.0 / math.sqrt(shots)
 
 

@@ -315,12 +315,13 @@ def test_project_cptp_matches_recorded_outputs():
 
 
 @pytest.mark.parametrize("max_iter", [1, 3])
-def test_project_cptp_raises_when_no_restart_converges(max_iter):
+def test_project_cptp_raises_when_no_restart_converges(monkeypatch, max_iter):
     # every penalty stage stops at the iteration cap far from stationary
     with open(DATA / "project_cptp_restarts2.json", encoding="utf-8") as fh:
         s_raw = np.array(json.load(fh)["cases"][0]["s_raw"])
+    monkeypatch.setattr(channels, "_STAGE_MAX_ITER", max_iter)
     with pytest.raises(OptimizerError, match="^CPTP projection failed to converge in 2 restarts$"):
-        project_cptp(s_raw, SIC, SIC, OptConfig(restarts=2, max_iter=max_iter))
+        project_cptp(s_raw, SIC, SIC, OptConfig(restarts=2))
 
 
 @pytest.mark.bits
@@ -368,10 +369,12 @@ def test_batched_projection_raises_the_error_of_the_first_failing_matrix(monkeyp
     with open(DATA / "project_cptp_restarts2.json", encoding="utf-8") as fh:
         noisy = np.array(json.load(fh)["cases"][0]["s_raw"])
     stalled = "^CPTP projection failed to converge in {} restarts$"
+    monkeypatch.setattr(channels, "_STAGE_MAX_ITER", 3)
     for restarts in (1, 2):
         for mats in ([zero, noisy], [noisy, zero]):
             with pytest.raises(OptimizerError, match=stalled.format(restarts)):
-                _project_cptp_many(mats, SIC, SIC, OptConfig(restarts=restarts, max_iter=3))
+                _project_cptp_many(mats, SIC, SIC, OptConfig(restarts=restarts))
+    monkeypatch.undo()
     # with a CPTP check that rejects every output, each matrix raises a
     # message of its own, and a batch raises that of its first matrix
     checked = channels.is_cptp

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sicprob import dynamics
 from sicprob._optim import OptConfig
 from sicprob.dynamics import (
     Generator,
@@ -284,6 +285,12 @@ def test_evolve_time_ordered_generator_objects():
     assert np.abs(u - mat_exp(g.matrix * 0.3)).max() < 1e-8
 
 
+@pytest.mark.parametrize("t", [float("inf"), -float("inf"), float("nan")])
+def test_evolve_time_ordered_rejects_nonfinite_time(t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        evolve_time_ordered(lambda _: H3_QUBIT, t)
+
+
 def test_evolve_time_ordered_calls_gen_fn_once_per_step():
     times = []
 
@@ -496,10 +503,11 @@ def test_project_mark_no_worse_than_recorded_multistart():
         assert resid <= case["residual"] + 1e-12
 
 
-def test_project_mark_raises_when_not_converged():
+def test_project_mark_raises_when_not_converged(monkeypatch):
     rng = np.random.default_rng(99)
-    with pytest.raises(OptimizerError, match="did not converge"):
-        project_mark(rng.standard_normal((4, 4)), SIC, OptConfig(max_iter=1))
+    monkeypatch.setattr(dynamics, "_ADMM_MAX_ITER", 1)
+    with pytest.raises(OptimizerError, match="did not converge in 1 ADMM iterations"):
+        project_mark(rng.standard_normal((4, 4)), SIC)
 
 
 def test_project_mark_converges_far_from_the_cone():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from sicprob import _lbfgsb
+from sicprob import _lbfgsb, channels
 from sicprob._lbfgsb import lbfgsb_lanes
 from sicprob._optim import OptConfig
 from sicprob.channels import _project_cptp_many, kraus_to_pstoch, project_cptp
@@ -97,10 +97,11 @@ def test_driver_matches_minimize_on_qutrit_stages(runs):
     assert len(assert_lanes_match_minimize(*args)) == 4
 
 
-def test_driver_matches_minimize_at_the_iteration_cap(runs):
+def test_driver_matches_minimize_at_the_iteration_cap(runs, monkeypatch):
     # every stage stops after 3 iterations: the NEW_X stop path (504)
+    monkeypatch.setattr(channels, "_STAGE_MAX_ITER", 3)
     with pytest.raises(OptimizerError):
-        project_cptp(qubit_case(0), SIC, SIC, OptConfig(restarts=2, max_iter=3))
+        project_cptp(qubit_case(0), SIC, SIC, OptConfig(restarts=2))
     (args, _), = runs
     assert assert_lanes_match_minimize(*args) == [(3, False)] * 8
 
@@ -145,7 +146,7 @@ def reference_kernel(mats, sic, restarts):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_kernel_matches_the_reference_formula_bit_for_bit(runs, dim):
+def test_kernel_matches_the_reference_formula_bit_for_bit(runs, monkeypatch, dim):
     # two matrices x 2 restarts: 4 lanes, evaluated at random points and at
     # the warm starts, in subsets of 1 to 4 lanes, at each stage's mu and at
     # a mix of them
@@ -155,8 +156,9 @@ def test_kernel_matches_the_reference_formula_bit_for_bit(runs, dim):
     for _ in range(2):
         s = kraus_to_pstoch(random_kraus_channel(rng, dim, 2), sic, sic)
         mats.append(s + 0.02 * rng.standard_normal(s.shape))
-    with pytest.raises(OptimizerError):  # 2 iterations a stage: only the kernel is wanted
-        _project_cptp_many(mats, sic, sic, OptConfig(restarts=2, max_iter=2))
+    monkeypatch.setattr(channels, "_STAGE_MAX_ITER", 2)  # only the kernel is wanted
+    with pytest.raises(OptimizerError):
+        _project_cptp_many(mats, sic, sic, OptConfig(restarts=2))
     (args, _), = runs
     kernel, x0, mus = args[:3]
     reference = reference_kernel(mats, sic, 2)

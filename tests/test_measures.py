@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sicprob import _framesearch
-from sicprob._framesearch import _frame_rotations, _rotated_off_diagonals
+from sicprob._framesearch import _conjugate, _frame_rotations, _negativities
 from sicprob._optim import OptConfig
 from sicprob.dynamics import (
     GkslSpec,
@@ -149,11 +149,52 @@ def test_batched_rotations_match_expm(dim):
     lam[0] = 0.0
     lam[1] = 1e-9 * lam[1]
     rotations = _frame_rotations(lam, b)
-    off = _rotated_off_diagonals(lmat, b, lam)
+    scores = _negativities(_conjugate(lmat, rotations))
     for k in range(len(lam)):
         u = mat_exp(np.einsum("i,iab->ab", lam[k], b))
         assert np.abs(rotations[k] - u).max() <= 1e-12
-        assert abs(max(0.0, -off[k].min()) - negativity(u @ lmat @ u.T)) <= 1e-12
+        assert abs(scores[k] - negativity(u @ lmat @ u.T)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("restarts", float("nan")), ("restarts", 2.5), ("restarts", 0), ("restarts", True),
+     ("restarts", "8"), ("seed", 1.0), ("seed", -1)],
+)
+def test_opt_config_rejects_what_is_not_a_count(field, value):
+    # a count that is not an integer would fail deep in a solver, or be
+    # silently raised to the frame search's minimum
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        OptConfig(**{field: value})
+    assert OptConfig(restarts=np.int64(3), seed=np.int64(0)).restarts == 3
+
+
+def test_descent_builds_only_its_step_stack(monkeypatch):
+    # the descent moves each frame by rotations built once a search (13
+    # step lengths, both ways along the 3 qubit coordinates); every other
+    # rotation built after the screen is a refinement trial, and lam is
+    # read once, along the best frame's path
+    b = basis_hunit(SIC)
+    g = hgen_from_hamiltonian(SZ, SIC) + lgen_from_gksl(
+        GkslSpec(2, np.zeros((2, 2)), (0.4 * SZ + 0.2j * np.eye(2)[::-1],)), SIC
+    ).matrix
+    _framesearch._screen(b, 3)
+    calls = []
+    for name in ("_frame_rotations", "_refine", "_frame_log"):
+        wrapped = getattr(_framesearch, name)
+
+        def logging(*args, _name=name, _fn=wrapped):
+            # the rows of lam, of the lanes' rotations, of the rotations read
+            calls.append((_name, len(args[2] if _name == "_refine" else args[0])))
+            return _fn(*args)
+
+        monkeypatch.setattr(_framesearch, name, logging)
+    rep = delta_quant_detail(g, b, OptConfig(restarts=2, seed=3))
+    refining = calls.index(("_refine", 8))
+    assert calls[:refining] == [("_frame_rotations", 13 * 2 * 3)]
+    *trials, (last, _) = calls[refining + 1 :]
+    assert last == "_frame_log" and {name for name, _ in trials} == {"_frame_rotations"}
+    assert rep.evaluations == 1024 + 6 * (256 * 2 + 64 * 10) + 8 + sum(rows for _, rows in trials)
 
 
 def test_screen_is_built_once_per_basis_and_seed():
@@ -213,6 +254,26 @@ def test_qutrit_delta_quant_no_worse_than_recorded_search():
         assert rep.value == pytest.approx(negativity(u @ np.array(g) @ u.T), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "seed, restarts, search_seed", [(937, 16, 0), (979, 1, 79), (5154, 1, 154)]
+)
+def test_qutrit_lam_reproduces_the_value_of_a_frame_that_moved_far(seed, restarts, search_seed):
+    # the best frames of these generators drift from the descent's
+    # first-order lam and move by up to ~3 rad while refining, where
+    # Newton's method on the exponential diverges from a far start; lam is
+    # read along the frame's path, so it still rebuilds the frame scored
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([0.1, 1.0, 3.0])
+    g = scale * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    v = scale * rng.uniform(0, 1) * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    sic = load_d3()
+    lmat = lgen_from_gksl(GkslSpec(3, (g + g.conj().T) / 2, (v,)), sic).matrix
+    b = basis_hunit(sic)
+    rep = delta_quant_detail(lmat, b, OptConfig(restarts=restarts, seed=search_seed))
+    u = mat_exp(np.einsum("i,iab->ab", rep.lam, b))
+    assert abs(rep.value - negativity(u @ lmat @ u.T)) <= 1e-12 * np.abs(lmat).max()
+
+
 def test_delta_quant_refines_at_least_eight_starts():
     b = basis_hunit(SIC)
     g = hgen_from_hamiltonian(SZ, SIC) + lgen_from_gksl(
@@ -251,7 +312,8 @@ def test_delta_quant_counts_every_frame_scored(monkeypatch):
             assert rep.evaluations == sum(scored)
             counts.append(rep.evaluations)
         assert counts[0] == counts[1]
-        # each start's frame, at least one trial step, and the final frames
+        # each start's frame and the refinement's trial steps, more than two
+        # a lane for this generator; the final frames are not scored again
         assert counts[0] >= before_refining + 3 * refined
 
 

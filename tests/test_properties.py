@@ -156,7 +156,7 @@ def test_project_mark_is_idempotent(dtilde):
 def test_project_mark_satisfies_kkt(dtilde):
     # min ||A p - dtilde||^2 / 2 over PSD P: P >= 0, gradient G >= 0, <P, G> = 0
     ops = _sic_ops(SICS[2])
-    z = _mark_coefficients(dtilde, ops, 500)
+    z = _mark_coefficients(dtilde, ops)
     grad = ops.amat.T @ (ops.amat @ z - dtilde.ravel())
 
     def hermitian(x):

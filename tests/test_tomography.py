@@ -65,6 +65,12 @@ def test_error_estimate():
         error_estimate(0)
 
 
+@pytest.mark.parametrize("shots", [float("nan"), float("inf"), -float("inf")])
+def test_error_estimate_rejects_nonfinite_shots(shots):
+    with pytest.raises(ValueError, match="shots must be finite"):
+        error_estimate(shots)
+
+
 def test_freq_from_counts_checks():
     good = CountsRecord(dim=2, shots=10, counts=np.array([[5, 5, 0, 0]] * 4))
     f = freq_from_counts(good)
@@ -244,7 +250,7 @@ def test_run_pipeline_projects_each_matrix_once(monkeypatch):
     assert np.array_equal(report.main.s_cptp, project_cptp(raw_main, SIC, SIC, opt))
 
 
-def test_pipeline_raises_what_the_cal_record_raises_alone():
+def test_pipeline_raises_what_the_cal_record_raises_alone(monkeypatch):
     # every penalty stage stops at 3 iterations, so both records fail; the
     # batched projection reports the cal record's error, as projecting it
     # first on its own does
@@ -255,7 +261,8 @@ def test_pipeline_raises_what_the_cal_record_raises_alone():
     counts_main = simulate_counts(s_dec, SIC, shots=1024, seed=76)
     raw_cal = reconstruct_raw(freq_from_counts(counts_cal), SIC)
     raw_main = reconstruct_raw(freq_from_counts(counts_main), SIC)
-    opt = OptConfig(restarts=2, max_iter=3)
+    monkeypatch.setattr(sicprob.channels, "_STAGE_MAX_ITER", 3)
+    opt = OptConfig(restarts=2)
     with pytest.raises(OptimizerError) as alone:
         project_cptp(raw_cal, SIC, SIC, opt)
     message = f"^{re.escape(str(alone.value))}$"
