@@ -10,8 +10,8 @@ each lane's ``f`` and ``g`` into the lane's own arrays in place. The C routine
 of Zhu, Byrd, Lu & Nocedal (ACM TOMS 23, 550, 1997) gets the same arguments as
 in ``minimize``, so each lane takes the same steps and returns the same bits
 as ``minimize`` run stage after stage on its own; ``tests/test_lbfgsb.py``
-holds it to that, and holds ``project_cptp``'s evaluation to the formula it
-was first written as, bit for bit.
+holds it to that, bit for bit, and holds ``project_cptp``'s evaluation to the
+formula it was first written as within 1e-13 relative.
 """
 
 from __future__ import annotations

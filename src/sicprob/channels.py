@@ -220,7 +220,7 @@ def _kraus_coeffs_from_choi(rho: np.ndarray, d: int, sig: np.ndarray) -> np.ndar
 
 # gradient tolerance and iteration cap of project_cptp's L-BFGS-B stages
 _GRAD_TOL = 1e-8
-_STAGE_MAX_ITER = 500
+_STAGE_MAX_ITER = 1000
 
 
 def project_cptp(
@@ -236,10 +236,13 @@ def project_cptp(
     automatic, and treats trace preservation as a quadratic penalty whose
     weight is ramped up across four L-BFGS-B stages (``_lbfgsb``, SciPy's
     routine without its per-evaluation wrapping, every restart one lane of
-    a lock-step run). The best of ``opt.restarts`` perturbed runs is then
-    repaired to exact trace preservation by the substitution
-    ``A_k -> A_k T^{-1/2}`` with ``T = sum_k A_k^H A_k``, so the returned
-    matrix is exactly CPTP.
+    a lock-step run, at most 1000 iterations a stage). A lane's objective
+    and gradient cost two matrix products: a forward map, built once per
+    call, takes ``P = V V^H`` to the model matrix and ``T`` below, and its
+    adjoint takes their residuals back. The best of ``opt.restarts``
+    perturbed runs is then repaired to exact trace preservation by the
+    substitution ``A_k -> A_k T^{-1/2}`` with ``T = sum_k A_k^H A_k``, so
+    the returned matrix is exactly CPTP.
 
     Raises ValueError for a matrix of the wrong shape or with non-finite
     entries, and OptimizerError if no restart converges or the trace
@@ -250,8 +253,10 @@ def project_cptp(
 
 def _project_cptp_many(mats, sic_in: SicPovm, sic_out: SicPovm, opt: OptConfig | None):
     """``[project_cptp(s, sic_in, sic_out, opt) for s in mats]`` bit for bit, every
-    restart of every matrix one lane of one L-BFGS-B driver call. Raises the error
-    of the first invalid matrix, else that of the first one whose projection fails."""
+    restart of every matrix one lane of one L-BFGS-B driver call; each lane is
+    evaluated by products of its own, so its bits do not depend on the lanes that
+    share its rounds. Raises the error of the first invalid matrix, else that of
+    the first one whose projection fails."""
     from .dynamics import _theta_stack, basis_sigma
 
     if sic_in.dim != sic_out.dim:
@@ -280,23 +285,40 @@ def _project_cptp_many(mats, sic_in: SicPovm, sic_out: SicPovm, opt: OptConfig |
         s_lanes += [s_raw.T] * restarts
     s_lanes = np.array(s_lanes)
 
+    # The forward map takes a lane's P to [S_model | T] in one product, the
+    # adjoint map takes [2 resid^T | 2 mu (T - I)] to W in one more. Each
+    # lane gets a product of its own: one GEMM over the stacked lanes would
+    # give a lane bits that depend on how many lanes ask in its round.
+    quad = np.einsum("iab,jbc->ijac", sig, sig)  # sigma_i sigma_j
+    fold = np.concatenate(
+        [theta.reshape(n * n, n * n), quad.transpose(1, 0, 2, 3).reshape(n * n, d * d)], axis=1
+    )
+    unfold = np.concatenate(
+        [
+            theta.transpose(2, 3, 0, 1).reshape(n * n, n * n),
+            quad.transpose(3, 2, 1, 0).reshape(d * d, n * n),
+        ]
+    )
+
     def fun_grad_many(x: np.ndarray, mu: np.ndarray, lanes: np.ndarray):
-        # the einsums keep their operands and layouts: the bits depend on them
-        v = np.empty((len(x), n, n), complex)
+        k = len(x)
+        v = np.empty((k, n, n), complex)
         v.real, v.imag = x[:, : n * n].reshape(v.shape), x[:, n * n :].reshape(v.shape)
         p = v @ v.conj().transpose(0, 2, 1)
-        s_model = np.einsum("kij,ijab->kab", p, theta).real
-        target = s_lanes if len(lanes) == len(s_lanes) else s_lanes[lanes]
+        out = (p.reshape(k, 1, n * n) @ fold)[:, 0]
+        s_model = out[:, : n * n].real.reshape(k, n, n)
+        target = s_lanes if k == len(s_lanes) else s_lanes[lanes]
         resid = s_model.transpose(0, 2, 1) - target
-        t_dev = _tp_operator(p, sig)
+        t_dev = out[:, n * n :].reshape(k, d, d)
         t_dev -= eye
         f = (resid**2).sum(axis=(1, 2)) + mu * (np.abs(t_dev) ** 2).sum(axis=(1, 2))
-        resid *= 2.0
-        w = np.einsum("kba,ijab->kij", resid, theta)
-        w += (2.0 * mu)[:, None, None] * np.einsum("kab,ibc,jca->kji", t_dev, sig, sig)
+        back = np.empty((k, 1, n * n + d * d), complex)
+        back[:, 0, : n * n] = (2.0 * resid).transpose(0, 2, 1).reshape(k, n * n)
+        back[:, 0, n * n :] = ((2.0 * mu)[:, None, None] * t_dev).reshape(k, d * d)
+        w = (back @ unfold).reshape(k, n, n)
         av = (w.transpose(0, 2, 1) + w.conj()) @ v  # twice the Hermitian part of w, times V
-        g = np.empty((len(x), 2 * n * n))
-        g[:, : n * n], g[:, n * n :] = av.real.reshape(len(x), -1), av.imag.reshape(len(x), -1)
+        g = np.empty((k, 2 * n * n))
+        g[:, : n * n], g[:, n * n :] = av.real.reshape(k, -1), av.imag.reshape(k, -1)
         return f, g
 
     from ._lbfgsb import lbfgsb_lanes

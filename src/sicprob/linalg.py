@@ -56,8 +56,9 @@ def _taylor_exp(a: np.ndarray) -> np.ndarray:
     out = np.eye(n) + scaled
     term = scaled
     for k in range(2, 15):
-        term = term @ scaled / k
-        out = out + term
+        term = term @ scaled
+        term /= k
+        out += term
     for _ in range(squarings):
         out = out @ out
     return out

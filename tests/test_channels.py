@@ -324,6 +324,16 @@ def test_project_cptp_raises_when_no_restart_converges(monkeypatch, max_iter):
         project_cptp(s_raw, SIC, SIC, OptConfig(restarts=2))
 
 
+def test_qutrit_calibration_matrix_projects_where_the_last_stage_once_stalled():
+    # with a 500-iteration cap the mu=1000 stage of every restart stopped
+    # with |g| above the convergence test, and the projection raised
+    with open(DATA / "project_cptp_tomo_d3_seed3_item0.json", encoding="utf-8") as fh:
+        s_raw = np.array(json.load(fh)["s_raw"])
+    out = project_cptp(s_raw, SIC3, SIC3, OptConfig(restarts=8))
+    ok, _ = is_cptp(out, SIC3, SIC3, tol=1e-7)
+    assert ok
+
+
 @pytest.mark.bits
 def test_batched_projection_matches_single_calls_in_each_layout():
     # project_cptp reads every matrix column-major, so a row-major copy, a

@@ -120,8 +120,8 @@ def test_driver_matches_minimize_when_lanes_finish_in_different_rounds(runs):
 
 
 def reference_kernel(mats, sic, restarts):
-    """The evaluation of project_cptp's lanes as first written, allocating a
-    fresh array at each step: the bits its kernel is held to."""
+    """The evaluation of project_cptp's lanes as first written, one einsum per
+    term and a fresh array at each step: the formula its kernel is held to."""
     d = sic.dim
     n = d * d
     sig = basis_sigma(d)
@@ -145,11 +145,19 @@ def reference_kernel(mats, sic, restarts):
     return fun_grad_many
 
 
+def lane_relative_difference(got, want):
+    """Largest entry difference of each lane over the largest entry of the
+    reference lane."""
+    got, want = got.reshape(len(got), -1), want.reshape(len(want), -1)
+    return np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
-def test_kernel_matches_the_reference_formula_bit_for_bit(runs, monkeypatch, dim):
+def test_kernel_matches_the_reference_formula(runs, monkeypatch, dim):
     # two matrices x 2 restarts: 4 lanes, evaluated at random points and at
     # the warm starts, in subsets of 1 to 4 lanes, at each stage's mu and at
-    # a mix of them
+    # a mix of them; each lane agrees with the reference to rounding and
+    # has the bits it has when evaluated alone
     sic = SIC if dim == 2 else qutrit_sic()
     rng = np.random.default_rng(30 + dim)
     mats = []
@@ -170,7 +178,10 @@ def test_kernel_matches_the_reference_formula_bit_for_bit(runs, monkeypatch, dim
                 got, want = kernel(x, mu_lanes, lanes), reference(x, mu_lanes, lanes)
                 for a, b in zip(got, want, strict=True):
                     assert (a.dtype, a.shape) == (b.dtype, b.shape)
-                    assert a.tobytes() == b.tobytes()
+                    assert lane_relative_difference(a, b).max() <= 1e-13
+                alone = [kernel(x[j, None], mu_lanes[j, None], lanes[j, None]) for j in range(size)]
+                for a, b in zip(got, zip(*alone), strict=True):
+                    assert a.tobytes() == np.concatenate(b).tobytes()
 
 
 def test_lane_work_on_the_recorded_inputs(runs):
@@ -181,5 +192,5 @@ def test_lane_work_on_the_recorded_inputs(runs):
     for case in cases:
         project_cptp(np.array(case["s_raw"]), SIC, SIC, OptConfig(restarts=2, seed=case["seed"]))
     assert [(len(rounds), sum(map(len, rounds))) for _, rounds in runs] == [
-        (238, 388), (538, 1042), (335, 609), (402, 769), (287, 537), (334, 593),
+        (238, 388), (539, 1077), (338, 609), (426, 743), (282, 532), (331, 596),
     ]  # fmt: skip

@@ -303,7 +303,9 @@ def test_run_pipeline_matches_recorded_outputs():
 
 @pytest.mark.bits
 def test_run_pipeline_frames_do_not_depend_on_blas_threads():
-    # the frame search takes the same steps with one BLAS thread and with two
+    # the projections and the frame search take the same steps with one
+    # BLAS thread and with two; JSON floats round-trip, so equal lists are
+    # equal bytes
     tests = pathlib.Path(__file__).resolve().parent
     runs = []
     for threads in ("1", "2"):
@@ -316,6 +318,8 @@ def test_run_pipeline_frames_do_not_depend_on_blas_threads():
         assert proc.returncode == 0, proc.stderr
         runs.append(json.loads(proc.stdout)["cases"])
     for one, two in zip(*runs, strict=True):
+        for key in ("cal_s_cptp", "main_s_cptp", "s_u"):
+            assert one[key] == two[key]
         for name in ("analysis_u", "analysis_cal"):
             assert one[name]["lam"] == two[name]["lam"]
             assert one[name]["quant_value"] == two[name]["quant_value"]
