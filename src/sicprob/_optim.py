@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
+
+from .errors import _require_int
 
 __all__ = ["OptConfig"]
 
@@ -26,7 +27,5 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, least in (("restarts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        _require_int(self.restarts, "restarts", 1)
+        _require_int(self.seed, "seed", 0)

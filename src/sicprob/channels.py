@@ -32,8 +32,8 @@ __all__ = [
 ]
 
 
-def _stack_kraus(kraus, atol: float = 1e-9) -> np.ndarray:
-    """The Kraus set as one ``(m, d_out, d_in)`` array, checked to be TP."""
+def _stack_kraus(kraus) -> np.ndarray:
+    """The Kraus set as one ``(m, d_out, d_in)`` array, checked to be TP to 1e-9."""
     if len(kraus) == 0:
         raise ValueError("empty Kraus set")
     try:
@@ -45,7 +45,7 @@ def _stack_kraus(kraus, atol: float = 1e-9) -> np.ndarray:
     _require_finite(ops, "Kraus set")
     total = np.einsum("mki,mkj->ij", ops.conj(), ops)
     dev = float(np.abs(total - np.eye(ops.shape[2])).max())
-    if dev > atol:
+    if dev > 1e-9:
         raise PhysicalityError(f"Kraus set is not trace preserving: |sum A^H A - I| = {dev:.3e}")
     return ops
 
@@ -366,7 +366,7 @@ def compose(s2: np.ndarray, s1: np.ndarray) -> np.ndarray:
     """
     s2 = np.asarray(s2, dtype=float)
     s1 = np.asarray(s1, dtype=float)
-    if s2.shape[1] != s1.shape[0]:
+    if s2.ndim != 2 or s1.ndim != 2 or s2.shape[1] != s1.shape[0]:
         raise ValueError(f"inner dimensions do not match: {s2.shape} @ {s1.shape}")
     _require_finite(s2, "channel matrix")
     _require_finite(s1, "channel matrix")
@@ -380,7 +380,7 @@ def apply(s: np.ndarray, p: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     p = np.asarray(p, dtype=float)
-    if s.shape[1] != p.shape[0]:
+    if s.ndim != 2 or p.ndim != 1 or s.shape[1] != p.shape[0]:
         raise ValueError(f"dimension mismatch: matrix {s.shape}, vector {p.shape}")
     _require_finite(s, "channel matrix")
     _require_finite(p, "probability vector")

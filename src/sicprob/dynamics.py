@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._optim import OptConfig
 from .errors import NumericalDomainError, OptimizerError, _check_hermitian, _require_finite
 from .linalg import frobenius_dist, mat_exp
 from .sic import SicPovm, _to_frame
@@ -158,16 +157,16 @@ def project_unit(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the span of the unitary generator basis.
 
     ``P(M) = sum_i Tr(H_i^T M) H_i / (4 d)``; idempotent, and the identity
-    on any Hamiltonian-generated matrix.
+    on any Hamiltonian-generated matrix. Raises ValueError unless ``b`` is
+    a stack of square matrices of ``m``'s shape, or for non-finite entries.
     """
     m = np.asarray(m, dtype=float)
     b = np.asarray(b)
-    n = b.shape[1]
-    if m.shape != (n, n):
-        raise ValueError(f"matrix shape {m.shape} does not match basis {b.shape[1:]}")
+    if b.ndim != 3 or m.shape != (b.shape[1], b.shape[1]):
+        raise ValueError(f"matrix shape {m.shape} does not match basis {b.shape}")
     _require_finite(m, "matrix")
     _require_finite(b, "basis")
-    d = math.isqrt(n)
+    d = math.isqrt(len(m))
     coeffs = np.einsum("iab,ab->i", b, m)
     return np.einsum("i,iab->ab", coeffs, b) / (4.0 * d)
 
@@ -354,7 +353,6 @@ class _SicOps(NamedTuple):
 
     sigma: np.ndarray  # traceless part of basis_sigma(d), shape (m, d, d)
     hunit: np.ndarray  # basis_hunit(s)
-    omega: np.ndarray  # omega_basis(s, sigma), shape (m, m, n, n)
     amat: np.ndarray  # Omega as a real map: P.view(float) -> sum_ij P_ij Omega_ij
     solve: np.ndarray  # (A^T A + rho I)^-1, the linear solve of each ADMM step
 
@@ -368,18 +366,15 @@ def _sic_ops(s: SicPovm) -> _SicOps:
     # per-function call counts do not depend on whether the cache is warm
     sig = _sigma_stack(d)[:-1]
     m = sig.shape[0]
-    omega = _omega_stack(s, sig)
-    flat = omega.reshape(m * m, n * n).T
+    flat = _omega_stack(s, sig).reshape(m * m, n * n).T
     # interleaved (Re P_ij, Im P_ij) columns: a complex P viewed as floats
     amat = np.stack([flat.real, -flat.imag], axis=-1).reshape(n * n, 2 * m * m)
     solve = np.linalg.inv(amat.T @ amat + _ADMM_RHO * np.eye(2 * m * m))
-    arrays = (_hunit_stack(s, sig), omega, amat, solve)
+    arrays = (_hunit_stack(s, sig), amat, solve)
     return _SicOps(sig, *map(_read_only, arrays))
 
 
-def project_mark(
-    dtilde: np.ndarray, s: SicPovm, opt: OptConfig | None = None
-) -> tuple[np.ndarray, float]:
+def project_mark(dtilde: np.ndarray, s: SicPovm) -> tuple[np.ndarray, float]:
     """Closest valid dissipative part to an arbitrary real matrix.
 
     Minimizes the Frobenius distance of ``sum_ij P_ij Omega_ij`` to
@@ -392,9 +387,9 @@ def project_mark(
     iteration stops when the largest entries of the primal and the dual
     residual are both at most ``1e-13 max(1, max|dtilde|)``. Returns the
     projected matrix, built from the PSD iterate ``Z`` so that it is a
-    valid dissipative part, and the Frobenius norm of the residual.
+    valid dissipative part, and the Frobenius norm of the residual. The
+    solve is exact, so it takes no restarts and no seed.
 
-    ``opt`` is read by nothing: the solve has no restarts and no seed.
     Raises ValueError for a matrix of the wrong shape or with non-finite
     entries, and OptimizerError if the iteration has not converged within
     500 steps.

@@ -8,6 +8,8 @@ non-convergence are all different failure modes.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
@@ -51,6 +53,12 @@ def _require_finite(a: np.ndarray, what: str) -> None:
     # much on the small arrays this package handles
     if np.count_nonzero(np.isfinite(a)) != a.size:
         raise ValueError(f"{what} contains non-finite entries")
+
+
+def _require_int(value, what: str, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{what} must be an integer of at least {least}, got {value!r}")
 
 
 def _check_hermitian(h: np.ndarray, what: str) -> np.ndarray:

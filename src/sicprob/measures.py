@@ -32,7 +32,6 @@ from .sic import SicPovm
 from .states import MeasurementMap
 
 __all__ = [
-    "OptConfig",
     "ExperimentScheme",
     "DeltaQuantReport",
     "MarkovReport",
@@ -159,9 +158,7 @@ def delta_quant(
     return delta_quant_detail(g, b, opt).value
 
 
-def _markov_parts(
-    s_matrix: np.ndarray, s: SicPovm, opt: OptConfig | None, basis: np.ndarray | None = None
-):
+def _markov_parts(s_matrix: np.ndarray, s: SicPovm, basis: np.ndarray | None = None):
     """Log, its exponential, unitary part, dissipative fit, its residual
     and ``S_mark``.
 
@@ -175,15 +172,14 @@ def _markov_parts(
     if basis is None:
         basis = basis_hunit(s)
     h_part = project_unit(lmat, basis)
-    d_proj, residual = project_mark(lmat - h_part, s, opt)
+    d_proj, residual = project_mark(lmat - h_part, s)
     s_mark = mat_exp(h_part + d_proj)
     return lmat, exp_log, h_part, d_proj, residual, s_mark
 
 
-def delta_nmark(s_matrix: np.ndarray, s: SicPovm, opt: OptConfig | None = None) -> float:
-    """Non-Markovianity: ``sqrt(frobenius_dist(S, S_mark)) / d^2``."""
-    s_matrix = np.asarray(s_matrix, dtype=float)
-    return _nmark_distance(s_matrix, _markov_parts(s_matrix, s, opt)[5])
+def delta_nmark(s_matrix: np.ndarray, s: SicPovm) -> float:
+    """Non-Markovianity, the ``delta_nmark`` of :func:`markov_report`."""
+    return markov_report(s_matrix, s).delta_nmark
 
 
 @dataclass(frozen=True)
@@ -195,22 +191,15 @@ class MarkovReport:
     log_residual: float
 
 
-def _nmark_distance(s_matrix: np.ndarray, s_mark: np.ndarray) -> float:
-    """``delta_nmark = sqrt(frobenius_dist(S, S_mark)) / d^2``."""
-    return math.sqrt(frobenius_dist(s_matrix, s_mark)) / len(s_matrix)
-
-
 def _markov_report(s_matrix: np.ndarray, exp_log: np.ndarray, s_mark: np.ndarray) -> MarkovReport:
-    """``delta_nmark`` and the reconstruction error of the log."""
+    """``delta_nmark = sqrt(frobenius_dist(S, S_mark)) / d^2``, the one place
+    it is computed, and the reconstruction error of the log."""
+    nmark = math.sqrt(frobenius_dist(s_matrix, s_mark)) / len(s_matrix)
     log_resid = math.sqrt(frobenius_dist(exp_log, s_matrix))
-    return MarkovReport(
-        delta_nmark=_nmark_distance(s_matrix, s_mark), s_mark=s_mark, log_residual=log_resid
-    )
+    return MarkovReport(delta_nmark=nmark, s_mark=s_mark, log_residual=log_resid)
 
 
-def markov_report(
-    s_matrix: np.ndarray, s: SicPovm, opt: OptConfig | None = None
-) -> MarkovReport:
+def markov_report(s_matrix: np.ndarray, s: SicPovm) -> MarkovReport:
     """Markovian projection bundled with its quality diagnostics.
 
     ``s_mark`` is the closest evolution generated by a time-independent
@@ -218,10 +207,11 @@ def markov_report(
     the projection of its remainder onto valid dissipative parts.
     ``log_residual`` is the reconstruction error ``||exp(log S) - S||_F``
     of the real principal logarithm, i.e. how trustworthy the generator
-    extraction itself was.
+    extraction itself was. The projection is exact, so it takes no
+    ``OptConfig``.
     """
     s_matrix = np.asarray(s_matrix, dtype=float)
-    _, exp_log, _, _, _, s_mark = _markov_parts(s_matrix, s, opt)
+    _, exp_log, _, _, _, s_mark = _markov_parts(s_matrix, s)
     return _markov_report(s_matrix, exp_log, s_mark)
 
 
@@ -252,7 +242,7 @@ def analyze_evolution(
     """
     s_matrix = np.asarray(s_matrix, dtype=float)
     basis = basis_hunit(s)
-    lmat, exp_log, h_part, d_proj, residual, s_mark = _markov_parts(s_matrix, s, opt, basis)
+    lmat, exp_log, h_part, d_proj, residual, s_mark = _markov_parts(s_matrix, s, basis)
     return EvolutionAnalysis(
         log=lmat,
         h_part=h_part,

@@ -95,6 +95,8 @@ def _build(projectors: np.ndarray) -> SicPovm:
     return SicPovm(dim=d, projectors=projectors, kmat=kmat, kinv=kinv)
 
 
+_SIC_TOL = 1e-8  # the largest deviation from a SIC condition that verify accepts
+
 # Signs of the Bloch vectors of the builtin qubit SIC, one vertex of the
 # tetrahedron per row
 _TETRA = np.array([[1, -1, 1], [1, 1, -1], [-1, 1, 1], [-1, -1, -1]], dtype=float)
@@ -131,20 +133,20 @@ def _wh_orbit(psi: np.ndarray) -> np.ndarray:
     return np.stack([np.outer(v, v.conj()) for v in states])
 
 
-def from_fiducial(fid: Fiducial | np.ndarray, tol: float = 1e-8) -> SicPovm:
+def from_fiducial(fid: Fiducial | np.ndarray) -> SicPovm:
     """Construct a SIC as the Weyl-Heisenberg orbit of a fiducial vector.
 
     The displacement operators are ``X^a Z^b`` with ``X`` the cyclic shift
     and ``Z = diag(omega^j)``, ``omega = exp(2 pi i / d)``. The resulting
-    family is verified before anything is returned.
+    family is verified, as :func:`verify` does, before it is returned.
 
     Raises
     ------
     ValueError
         If the fiducial is not a vector or has non-finite entries.
     PhysicalityError
-        If the vector is not normalized or its orbit fails the SIC
-        conditions at tolerance ``tol``.
+        If the vector is not normalized or its orbit deviates from a SIC
+        condition by more than 1e-8.
     """
     psi = np.asarray(fid.amplitudes if isinstance(fid, Fiducial) else fid, dtype=complex)
     if psi.ndim != 1:
@@ -154,18 +156,18 @@ def from_fiducial(fid: Fiducial | np.ndarray, tol: float = 1e-8) -> SicPovm:
     if abs(norm - 1.0) > 1e-12:
         raise PhysicalityError(f"fiducial vector is not normalized: |psi| = {norm!r}")
     projectors = _wh_orbit(psi)
-    report = _verify_projectors(projectors, tol)
+    report = _verify_projectors(projectors)
     if not report.ok:
         raise PhysicalityError(
             "Weyl-Heisenberg orbit is not a SIC: "
             f"projector dev {report.max_projector_dev:.3e}, "
             f"gram dev {report.max_gram_dev:.3e}, "
-            f"resolution dev {report.max_resolution_dev:.3e} (tol {tol:.1e})"
+            f"resolution dev {report.max_resolution_dev:.3e} (tol {_SIC_TOL:.1e})"
         )
     return _build(projectors)
 
 
-def _verify_projectors(projectors: np.ndarray, tol: float) -> SicReport:
+def _verify_projectors(projectors: np.ndarray) -> SicReport:
     n = projectors.shape[0]
     d = projectors.shape[1]
     proj_dev = 0.0
@@ -177,7 +179,7 @@ def _verify_projectors(projectors: np.ndarray, tol: float) -> SicReport:
     target = (d * np.eye(n) + 1.0) / (d + 1)
     gram_dev = float(np.abs(gram - target).max())
     res_dev = float(np.abs(projectors.sum(axis=0) - d * np.eye(d)).max())
-    ok = proj_dev <= tol and gram_dev <= tol and res_dev <= tol
+    ok = proj_dev <= _SIC_TOL and gram_dev <= _SIC_TOL and res_dev <= _SIC_TOL
     return SicReport(
         ok=ok,
         max_projector_dev=proj_dev,
@@ -186,12 +188,13 @@ def _verify_projectors(projectors: np.ndarray, tol: float) -> SicReport:
     )
 
 
-def verify(s: SicPovm, tol: float = 1e-8) -> SicReport:
+def verify(s: SicPovm) -> SicReport:
     """Report how far a SicPovm's projectors deviate from the SIC conditions.
 
-    Never raises; callers decide what to do with a failing report.
+    ``ok`` when every deviation is at most 1e-8. Never raises; callers
+    decide what to do with a failing report.
     """
-    return _verify_projectors(s.projectors, tol)
+    return _verify_projectors(s.projectors)
 
 
 def kmatrix(s: SicPovm) -> tuple[np.ndarray, np.ndarray]:

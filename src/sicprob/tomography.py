@@ -17,7 +17,7 @@ import numpy as np
 
 from ._optim import OptConfig
 from .channels import _project_cptp_many, project_cptp
-from .errors import NumericalDomainError, _require_finite
+from .errors import NumericalDomainError, _require_finite, _require_int
 from .linalg import frobenius_dist
 from .measures import EvolutionAnalysis, analyze_evolution
 from .sic import SicPovm, fingerprint
@@ -146,8 +146,10 @@ def simulate_counts(
     Samples each input state's outcome distribution ``S p_in``. Exactly
     CPTP matrices can still produce tiny negative probabilities in floating
     point; anything above ``-1e-9`` is clipped to zero and renormalized,
-    anything worse is rejected as unphysical.
+    anything worse is rejected as unphysical. Raises ValueError unless
+    ``shots`` is an integer (not a bool) of at least 1.
     """
+    _require_int(shots, "shots", 1)
     s_matrix = np.asarray(s_matrix, dtype=float)
     rng = np.random.default_rng(seed)
     pin = input_prob_matrix(s)

@@ -17,20 +17,27 @@ outputs (only when the library is meant to change them), run
 ``python3 tests/projection_cases.py --diff FIXTURE`` to list, as
 ``case/s_cptp`` followed by the largest absolute difference of its entries,
 each output that differs from a recorded file (exit status 1 if any does).
+
+``python3 tests/projection_cases.py --qutrit-digest`` prints the first 16 hex
+digits of the sha256 of the bytes of ``project_cptp`` of the raw qutrit
+matrix of ``tests/data/project_cptp_tomo_d3_seed3_item0.json`` at
+``OptConfig(restarts=8)``. Run it with ``OPENBLAS_NUM_THREADS=1`` and ``=2``
+to see whether those bytes depend on the number of BLAS threads.
 """
 
+import hashlib
 import json
-import pathlib
 import sys
 
 import numpy as np
 
+from fixtures import DATA, qutrit_sic
 from pipeline_cases import differences
 from sicprob._optim import OptConfig
 from sicprob.channels import project_cptp
 from sicprob.sic import builtin_qubit
 
-FIXTURE = pathlib.Path(__file__).parent / "data" / "project_cptp_restarts2.json"
+FIXTURE = DATA / "project_cptp_restarts2.json"
 SIC = builtin_qubit()
 
 
@@ -44,7 +51,19 @@ def outputs(cases: list[dict]) -> list[dict]:
     return out
 
 
+def qutrit_digest() -> str:
+    """Digest of the bytes of the recorded qutrit matrix's projection."""
+    with open(DATA / "project_cptp_tomo_d3_seed3_item0.json", encoding="utf-8") as fh:
+        s_raw = np.array(json.load(fh)["s_raw"])
+    sic = qutrit_sic()
+    out = project_cptp(s_raw, sic, sic, OptConfig(restarts=8))
+    return hashlib.sha256(out.tobytes()).hexdigest()[:16]
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--qutrit-digest"]:
+        print(qutrit_digest())
+        sys.exit(0)
     with open(FIXTURE, encoding="utf-8") as fh:
         inputs = json.load(fh)["cases"]
     result = {"cases": outputs(inputs)}

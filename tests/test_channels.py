@@ -450,3 +450,8 @@ def test_apply_shape_checks():
         apply(np.eye(4), np.ones(3))
     with pytest.raises(ValueError):
         compose(np.eye(4), np.eye(9))
+    # 1-D operands used to raise IndexError, which the CLI maps to no exit code
+    with pytest.raises(ValueError):
+        apply(np.ones(4), np.ones(4))
+    with pytest.raises(ValueError):
+        compose(np.ones(4), np.ones(4))

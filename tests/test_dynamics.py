@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sicprob import dynamics
-from sicprob._optim import OptConfig
 from sicprob.dynamics import (
     Generator,
     GkslSpec,
@@ -46,7 +45,7 @@ SIC = builtin_qubit()
 def test_project_mark_rejects_nonfinite(bad):
     # used to raise a raw LinAlgError from the warm start
     with pytest.raises(ValueError, match="non-finite"):
-        project_mark(np.full((4, 4), bad), SIC, OptConfig(restarts=1))
+        project_mark(np.full((4, 4), bad), SIC)
 
 
 NAN2 = np.full((2, 2), np.nan)
@@ -85,6 +84,13 @@ def test_rejects_nonfinite(call):
     with pytest.raises(ValueError, match="non-finite") as exc:
         call()
     assert type(exc.value) is ValueError
+
+
+def test_project_unit_rejects_a_basis_that_is_not_a_stack():
+    # used to raise IndexError, which the CLI maps to no exit code
+    with pytest.raises(ValueError, match="does not match basis"):
+        project_unit(np.eye(4), np.ones(4))
+
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -468,7 +474,7 @@ def test_project_mark_fixed_point():
     h = random_hermitian(rng, 2)
     v = 0.5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     g = lgen_from_gksl(GkslSpec(2, h, (v,)), SIC)
-    dproj, resid = project_mark(g.d_part, SIC, OptConfig(restarts=4, seed=6))
+    dproj, resid = project_mark(g.d_part, SIC)
     assert resid < 1e-7
     assert np.abs(dproj - g.d_part).max() < 1e-7
 
@@ -478,15 +484,15 @@ def test_project_mark_perturbation_stays_close():
     v = 0.5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     g = lgen_from_gksl(GkslSpec(2, np.zeros((2, 2)), (v,)), SIC)
     noise = 0.01 * rng.standard_normal((4, 4))
-    dproj, resid = project_mark(g.d_part + noise, SIC, OptConfig(restarts=4, seed=7))
+    dproj, resid = project_mark(g.d_part + noise, SIC)
     # projection residual can never exceed the perturbation norm
     assert resid <= np.sqrt(np.sum(noise**2)) + 1e-9
     assert np.abs(dproj - g.d_part).max() < 0.05
 
 
-def markov_residual(lmat, opt):
+def markov_residual(lmat):
     """Distance of a generator from Hamiltonian plus valid dissipator."""
-    return project_mark(lmat - project_unit(lmat, basis_hunit(SIC)), SIC, opt)[1]
+    return project_mark(lmat - project_unit(lmat, basis_hunit(SIC)), SIC)[1]
 
 
 def test_project_mark_no_worse_than_recorded_multistart():
@@ -543,7 +549,7 @@ def test_is_markovian_on_gksl_generator():
     h = random_hermitian(rng, 2)
     v = 0.45 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     g = lgen_from_gksl(GkslSpec(2, h, (v,)), SIC)
-    assert markov_residual(g.matrix, OptConfig(restarts=4, seed=8)) < 1e-8
+    assert markov_residual(g.matrix) < 1e-8
 
 
 def test_is_markovian_rejects_reversed_dissipation():
@@ -551,7 +557,7 @@ def test_is_markovian_rejects_reversed_dissipation():
     rng = np.random.default_rng(97)
     v = 0.6 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     g = lgen_from_gksl(GkslSpec(2, np.zeros((2, 2)), (v,)), SIC)
-    assert markov_residual(-g.matrix, OptConfig(restarts=4, seed=9)) > 1e-3
+    assert markov_residual(-g.matrix) > 1e-3
 
 
 def test_gksl_exponential_round_trip_through_log():

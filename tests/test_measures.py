@@ -360,19 +360,19 @@ def test_markov_projection_fixed_point():
     v = 0.5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     g = lgen_from_gksl(GkslSpec(2, h, (v,)), SIC)
     s_matrix = mat_exp(g.matrix * 0.7)
-    rep = markov_report(s_matrix, SIC, OptConfig(restarts=4, seed=15))
+    rep = markov_report(s_matrix, SIC)
     assert np.abs(rep.s_mark - s_matrix).max() < 1e-6
     assert rep.delta_nmark < 1e-8
-    assert delta_nmark(s_matrix, SIC, OptConfig(restarts=4, seed=15)) == rep.delta_nmark
+    assert delta_nmark(s_matrix, SIC) == rep.delta_nmark
 
 
 def test_markov_projection_identity():
-    rep = markov_report(np.eye(4), SIC, OptConfig(restarts=2, seed=16))
+    rep = markov_report(np.eye(4), SIC)
     assert np.abs(rep.s_mark - np.eye(4)).max() < 1e-8
 
 
 def test_delta_nmark_scales_frobenius_distance():
-    rep = markov_report(S_DECOHERE, SIC, OptConfig(restarts=6, seed=17))
+    rep = markov_report(S_DECOHERE, SIC)
     direct = np.sqrt(frobenius_dist(S_DECOHERE, rep.s_mark)) / 4
     assert rep.delta_nmark == pytest.approx(direct, abs=1e-12)
     assert rep.log_residual < 1e-8
@@ -381,12 +381,12 @@ def test_delta_nmark_scales_frobenius_distance():
 def test_published_decoherent_channel_scores():
     # three-decimal matrix: its distance from the Markovian set sits in a
     # narrow, previously computed band
-    val = delta_nmark(S_DECOHERE, SIC, OptConfig(restarts=8, seed=18))
+    val = delta_nmark(S_DECOHERE, SIC)
     assert 0.004 < val < 0.010
 
 
 def test_published_driven_channel_scores():
-    val = delta_nmark(S_DRIVE, SIC, OptConfig(restarts=8, seed=19))
+    val = delta_nmark(S_DRIVE, SIC)
     assert 0.001 < val < 0.005
 
 
@@ -478,9 +478,7 @@ def test_delta_quant_on_dissipative_table_matrix():
     # the decoherent channel's generator is classical up to tiny negativity
     from sicprob.measures import _markov_parts
 
-    _, _, h_part, d_proj, _, _ = _markov_parts(
-        S_DECOHERE, SIC, OptConfig(restarts=6, seed=21)
-    )
+    _, _, h_part, d_proj, _, _ = _markov_parts(S_DECOHERE, SIC)
     val = delta_quant(
         h_part + d_proj, basis_hunit(SIC), OptConfig(restarts=16, seed=22)
     )

@@ -26,7 +26,7 @@ from sicprob.tomography import (
     simulate_counts,
 )
 
-from fixtures import DATA, H3_QUBIT, random_kraus_channel
+from fixtures import DATA, H3_QUBIT, S_GATE_QUBIT, random_kraus_channel
 
 SIC = builtin_qubit()
 
@@ -127,6 +127,15 @@ def test_simulate_counts_deterministic():
     assert not np.array_equal(c1.counts, c3.counts)
     assert c1.counts.sum(axis=1).tolist() == [500] * 4
     assert c1.counts.min() >= 0
+
+
+@pytest.mark.parametrize("shots", [0, -5, 2.5, 1024.0, True, float("inf"), float("nan"), "1024"])
+def test_simulate_counts_rejects_what_is_not_a_shot_count(shots):
+    # 0 gave a record that freq_from_counts rejects, 2.5 one whose rows sum
+    # to 2, True was taken as 1 shot and inf raised OverflowError
+    with pytest.raises(ValueError, match="^shots must be an integer of at least 1"):
+        simulate_counts(S_GATE_QUBIT, SIC, shots=shots, seed=0)
+    assert simulate_counts(S_GATE_QUBIT, SIC, shots=np.int64(8), seed=0).counts.sum() == 32
 
 
 def test_simulate_counts_rejects_nonphysical_distributions():
