@@ -6,10 +6,10 @@ frames built in closed form, a batched compass descent of the best of them,
 and a Newton refinement of the best distinct ones on the minimax problem,
 every start a lane of one lock-step loop with exact commutator derivatives.
 Each frame is its rotation ``U`` from the screen on, moved by retraction
-steps ``exp(delta) U``; ``lam`` is read from the best rotation at the end.
-NumPy only: the same steps, and the same bits, with any number of BLAS
-threads. ``measures`` checks the inputs and imports this module on the
-first search.
+steps ``exp(delta) U``; ``lam`` is read from the best rotation at the end,
+through the SIC's unitary. NumPy only: the same steps, and the same bits,
+with any number of BLAS threads. ``measures`` checks the inputs and imports
+this module on the first search.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ import math
 import numpy as np
 
 from ._optim import OptConfig
+from .dynamics import _sic_ops
 from .linalg import _taylor_exp
+from .sic import SicPovm
 
 # Frames every search evaluates in one batched call before refining.
 _SCREEN_SIZE = 1024
@@ -49,10 +51,6 @@ _MIN_ALPHA = 1e-3
 _QP_PASSES = 24
 # An active entry leaves the set when its multiplier falls below -_MU_TOL.
 _MU_TOL = 1e-12
-# Newton steps that read ``lam`` back from a rotation at d >= 3, and the
-# residual rotation angle at which they stop.
-_LOG_ROUNDS = 8
-_LOG_TOL = 1e-15
 # Weight of the spread of the active gradients added to the model Hessian,
 # relative to the Hessian's entry sum over the spread's trace.
 _AUGMENT = 10.0
@@ -107,7 +105,8 @@ def _off_diagonal_index(n: int) -> np.ndarray:
     return np.flatnonzero(~np.eye(n, dtype=bool))
 
 
-def _screen(basis: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=8)
+def _screen(s: SicPovm, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``_SCREEN_SIZE`` frames and their rotations: ``lam = 0``, then
     uniform in a ball.
 
@@ -115,17 +114,12 @@ def _screen(basis: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     ``pi sqrt((d^2 - 1) / (6 d))`` reaches the frames whose ``u`` has evenly
     spaced eigenphases, such as the clock matrix. For the qubit it is
     ``pi / 2``, where ``u`` and ``-u`` meet, so the ball holds every frame
-    once. The frames depend on the basis and the seed alone, so they are
+    once. The frames depend on the SIC and the seed alone, so they are
     built once for each pair and shared, read-only, by every search.
     """
-    return _screen_frames(seed, basis.shape, basis.tobytes())
-
-
-@functools.lru_cache(maxsize=8)
-def _screen_frames(seed: int, shape: tuple[int, ...], data: bytes):
-    basis = np.frombuffer(data).reshape(shape)
-    nlam, n, _ = shape
-    d = math.isqrt(n)
+    basis = _sic_ops(s).hunit
+    nlam = len(basis)
+    d = s.dim
     rng = np.random.default_rng(seed)
     radius = math.pi * math.sqrt((d * d - 1) / (6 * d))
     direction = rng.standard_normal((_SCREEN_SIZE - 1, nlam))
@@ -211,8 +205,8 @@ def _refine(lmat: np.ndarray, basis: np.ndarray, u: np.ndarray):
     model promises no decrease, after a full step that promised almost
     none, at a classical frame, or when backtracking fails. Only steps that
     lower the largest entry are taken, so no lane ends above its start.
-    Returns each lane's final negativity, the number of frames scored and
-    each accepted step's lanes and new rotations; ``u`` is updated in place.
+    Returns each lane's final negativity and the number of frames scored;
+    ``u`` is updated in place, to each lane's final rotation.
     """
     nlam, off = len(basis), _off_diagonal_index(len(lmat))
     m = _conjugate(lmat, u)
@@ -225,7 +219,6 @@ def _refine(lmat: np.ndarray, basis: np.ndarray, u: np.ndarray):
     np.put_along_axis(active, np.argsort(-f, axis=1)[:, : nlam + 1], True, axis=1)
     mu = _largest(f).astype(float)
     running = fmax > 0.0
-    accepted = []
     for _ in range(_REFINE_ROUNDS):
         lanes = np.flatnonzero(running)
         if lanes.size == 0:
@@ -257,7 +250,6 @@ def _refine(lmat: np.ndarray, basis: np.ndarray, u: np.ndarray):
             fmax_try = f_try.max(axis=1)
             accept = fmax_try <= fmax[lanes] - _ARMIJO * alpha * gain
             moved = lanes[accept]
-            accepted.append((moved, u_try[accept]))
             u[moved], m[moved], f[moved], fmax[moved] = (
                 u_try[accept], m_try[accept], f_try[accept], fmax_try[accept]
             )
@@ -273,7 +265,7 @@ def _refine(lmat: np.ndarray, basis: np.ndarray, u: np.ndarray):
                 break
             lanes, step, gain = lanes[keep], step[keep], gain[keep]
             alpha *= 0.5
-    return np.maximum(fmax, 0.0), evaluations, accepted
+    return np.maximum(fmax, 0.0), evaluations
 
 
 def _model_inverse(hess, grad, mu):
@@ -399,79 +391,50 @@ def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (mat @ vec[..., None])[..., 0]
 
 
-def _frame_log(path: list[np.ndarray], basis: np.ndarray, lam_near: np.ndarray) -> np.ndarray:
-    """``lam`` with ``exp(sum_i lam_i H_i) = U`` for the last rotation of a path.
+def _frame_lam(rotation: np.ndarray, s: SicPovm) -> np.ndarray:
+    """``lam`` with ``exp(sum_i lam_i H_i) = U``, read from the SIC's unitary.
 
-    For the qubit, the inverse of Rodrigues' formula: the antisymmetric
-    part of ``U`` is ``sin(theta) / theta`` times the generator, and
-    ``tr U = 2 + 2 cos(theta)``. Larger frames have rotations whose
-    principal logarithm lies outside the span of the basis (the clock
-    frame at d=3, say), so Newton's method on the exponential reads each
-    rotation's ``lam`` from the last one's, the first from ``lam_near``.
-    It can diverge from a far start, so the search passes its best frame's
-    path: the descended start, whose first-order ``lam`` is near, then the
-    rotation after each refinement step. The residual ``U exp(-B)`` is
-    then close to the identity, where its real logarithm follows from an
-    eigendecomposition, and the derivative of ``exp(B)``,
-    ``B = sum_i lam_i H_i``, is ``phi(ad B)`` with ``phi(z) = (e^z - 1) / z``.
+    ``U`` is the frame image ``K^-1 (u (x) conj(u)) K`` of
+    ``u = exp(-i sum_i lam_i sigma_i)``, so ``K U K^-1`` regrouped is
+    ``vec(u) vec(u)^H``, whose top eigenvector is ``u`` times a factor. A
+    phase of ``u`` cancels in ``u (x) conj(u)``, so for each of the ``d``
+    multiples ``omega^k u`` (``omega = exp(2 pi i / d)``)
+    ``A = i log(omega^k u)``, from one eigendecomposition of ``u``, has
+    ``lam_i = Tr(sigma_i A) / 2`` that rebuild ``U``; the least-norm one is
+    returned. The exponential map of SU(d) is onto, so every rotation has
+    a ``lam``. The shortest ``lam`` has the eigenvalues of its ``A``, about
+    their mean, within ``+-pi (d - 1) / d``: moving the largest down by
+    ``2 pi`` would otherwise shorten it. So the gap they leave on the circle
+    is at least ``2 pi / d`` wide, one of the multiples puts its branch cut
+    there, and the shortest ``lam`` is among the ``d`` whatever the phase
+    of the eigenvector.
     """
-    norms = np.einsum("iab,iab->i", basis, basis)
-    if basis.shape[1] == 4:
-        anti = 0.5 * (path[-1] - path[-1].T)
-        sin = np.sqrt(0.5 * np.einsum("ab,ab->", anti, anti))
-        theta = np.arctan2(sin, 0.5 * np.trace(path[-1]) - 1.0)
-        return (theta / sin if sin > 0.0 else 1.0) * np.einsum("iab,ab->i", basis, anti) / norms
-    # [H_l, H_j] = sum_i structure[i, l, j] H_i
-    prod = np.einsum("lab,jbc->ljac", basis, basis)
-    structure = np.einsum("iac,ljac->ilj", basis, prod - prod.transpose(1, 0, 2, 3))
-    structure /= norms[:, None, None]
-    lam = lam_near
-    for u in path:
-        for _ in range(_LOG_ROUNDS):
-            rest = u @ _frame_rotations(lam[None], basis)[0].T
-            omega = np.einsum("iab,ab->i", basis, _rotation_log(rest)) / norms
-            if np.abs(omega).max() <= _LOG_TOL:
-                break
-            # ad B = v diag(z) v^H with z = -i w
-            w, v = np.linalg.eigh(1j * np.einsum("l,ilj->ij", lam, structure))
-            z = -1j * w
-            small = np.abs(z) < 1e-8
-            factor = np.where(small, 1.0 - 0.5 * z, z / np.where(small, 1.0, np.expm1(z)))
-            lam = lam + (v @ (factor * (v.conj().T @ omega))).real
-    return lam
+    d = s.dim
+    regrouped = (s.kmat @ rotation @ s.kinv).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    u = np.linalg.eigh(regrouped.reshape(d * d, d * d))[1][:, -1].reshape(d, d)
+    w, v = np.linalg.eig(u)
+    # eigenphases of each multiple on the principal branch, and
+    # (V^-1 sigma_i V)_jj, so that lam_ki = -sum_j angle_kj diag_ij / 2
+    angle = np.angle(w * np.exp(2j * np.pi / d * np.arange(d))[:, None])
+    diag = np.einsum("ja,iab,bj->ij", np.linalg.inv(v), _sic_ops(s).sigma, v)
+    lam = -0.5 * (angle @ diag.T).real
+    return lam[np.argmin(np.einsum("ki,ki->k", lam, lam))]
 
 
-def _rotation_log(w: np.ndarray) -> np.ndarray:
-    """Principal real logarithm of a rotation.
-
-    The symmetric part ``S`` and antisymmetric part ``A`` of a rotation
-    commute, and ``log W = f(S) A`` with ``f(cos phi) = phi / sin phi`` on
-    each eigenspace of ``S``; exact while no eigenvalue of ``W`` is -1.
-    """
-    cos, vec = np.linalg.eigh(0.5 * (w + w.T))
-    cos = np.clip(cos, -1.0, 1.0)
-    sin = np.sqrt(1.0 - cos * cos)
-    near = sin < 1e-6
-    ratio = np.where(near, 1.0 + (1.0 - cos) / 3.0, np.arccos(cos) / np.where(near, 1.0, sin))
-    return (vec * ratio) @ vec.T @ (0.5 * (w - w.T))
-
-
-def search(
-    lmat: np.ndarray, basis: np.ndarray, opt: OptConfig
-) -> tuple[float, np.ndarray, int, int]:
+def search(lmat: np.ndarray, s: SicPovm, opt: OptConfig) -> tuple[float, np.ndarray, int, int]:
     """``(value, lam, agreeing, evaluations)`` of the best frame.
 
     ``agreeing`` counts the refined starts that end within ``_AGREE_TOL``
     of the best value; ``evaluations`` counts every frame scored.
     """
+    basis = _sic_ops(s).hunit
     refine = max(opt.restarts, _MIN_REFINED, 2 * len(basis))
-    lam, u = _screen(basis, opt.seed)
+    lam, u = _screen(s, opt.seed)
     neg = _negativities(_conjugate(lmat, u))
     lam, u, neg, descended = _descend(lmat, basis, lam, u, neg, refine)
-    starts = _spread_starts(lam, neg, refine)
-    neg_end, refined, accepted = _refine(lmat, basis, u[starts])
+    lanes = u[_spread_starts(lam, neg, refine)]
+    neg_end, refined = _refine(lmat, basis, lanes)
     best = int(np.argmin(neg_end))
     agreeing = int(np.count_nonzero(neg_end <= neg_end[best] + _AGREE_TOL))
-    path = [u[starts[best]]] + [r[lanes == best][0] for lanes, r in accepted if best in lanes]
-    lam_best = _frame_log(path, basis, lam[starts[best]])
+    lam_best = _frame_lam(lanes[best], s)
     return float(neg_end[best]), lam_best, agreeing, _SCREEN_SIZE + descended + refined

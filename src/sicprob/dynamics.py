@@ -18,7 +18,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalDomainError, OptimizerError, _check_hermitian, _require_finite
+from .errors import (
+    NumericalDomainError,
+    OptimizerError,
+    _check_hermitian,
+    _require_finite,
+    _require_int,
+)
 from .linalg import frobenius_dist, mat_exp
 from .sic import SicPovm, _to_frame
 
@@ -171,19 +177,15 @@ def project_unit(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("i,iab->ab", coeffs, b) / (4.0 * d)
 
 
-def evolve_unitary(
-    g: Generator | np.ndarray, t: float, s: SicPovm | np.ndarray
-) -> np.ndarray:
+def evolve_unitary(g: Generator | np.ndarray, t: float, s: SicPovm) -> np.ndarray:
     """Rotation matrix ``exp(H t)`` for a unitary-part generator.
 
-    ``s`` may be the SIC or a precomputed basis stack; it is needed to
-    check that ``g`` actually lies in the unitary subspace (within 1e-8),
-    which is what guarantees the result is orthogonal and
-    pseudobistochastic.
+    The SIC ``s`` is needed to check that ``g`` actually lies in the
+    unitary subspace (within 1e-8), which is what guarantees the result is
+    orthogonal and pseudobistochastic.
     """
     h = as_matrix(g)
-    basis = basis_hunit(s) if isinstance(s, SicPovm) else np.asarray(s)
-    proj = project_unit(h, basis)
+    proj = project_unit(h, basis_hunit(s))
     dev = math.sqrt(frobenius_dist(proj, h))
     scale = max(1.0, math.sqrt(float(np.sum(h * h))))
     if dev > 1e-8 * scale:
@@ -199,15 +201,15 @@ def evolve_time_ordered(gen_fn, t: float, steps: int | None = None) -> np.ndarra
     ``gen_fn(t)`` returns the generator at time ``t`` (matrix or
     Generator). Defaults to 1000 steps per unit time. Later factors
     multiply from the left, matching the time-ordering convention. Raises
-    ValueError for a non-finite ``t``.
+    ValueError for a non-finite ``t``, or unless ``steps`` is an integer
+    (not a bool) of at least 1.
     """
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if steps is None:
         steps = max(1, math.ceil(1000 * abs(t)))
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
+    _require_int(steps, "steps", 1)
     dt = t / steps
     lk = as_matrix(gen_fn(0.5 * dt))
     u = np.eye(lk.shape[0])

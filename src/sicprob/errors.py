@@ -12,6 +12,14 @@ import numbers
 
 import numpy as np
 
+__all__ = [
+    "PhysicalityError",
+    "NumericalDomainError",
+    "LogBranchError",
+    "NonRealLogError",
+    "OptimizerError",
+]
+
 
 class PhysicalityError(ValueError):
     """An object fails a quantum-mechanical validity requirement.

@@ -76,9 +76,13 @@ def negativity(m: np.ndarray) -> float:
 class DeltaQuantReport:
     """Best frame found by the nonclassicality search.
 
-    ``evaluations`` counts the frames the search scored: the screen, every
-    descent trial, and the start and every trial step of each refined lane.
-    A lane ends on a frame already scored, so final frames count once.
+    ``value`` is ``negativity(U L U^T)`` at the best rotation found, and
+    ``lam`` the least-norm coefficients with ``U = exp(sum_i lam_i H_i)``
+    over ``basis_hunit(s)``, read from the SIC's unitary of ``U``, so that
+    they rebuild the frame scored to rounding. ``evaluations`` counts the
+    frames the search scored: the screen, every descent trial, and the
+    start and every trial step of each refined lane. A lane ends on a frame
+    already scored, so final frames count once.
     """
 
     value: float
@@ -88,12 +92,13 @@ class DeltaQuantReport:
 
 
 def delta_quant_detail(
-    g: Generator | np.ndarray, b: np.ndarray, opt: OptConfig | None = None
+    g: Generator | np.ndarray, s: SicPovm, opt: OptConfig | None = None
 ) -> DeltaQuantReport:
     """Irremovable negativity of a generator, with search diagnostics.
 
     Minimizes ``negativity(U L U^T)`` over the frame rotations
-    ``U = exp(sum_i lam_i H_i)``, built in batches without a matrix
+    ``U = exp(sum_i lam_i H_i)`` of the SIC ``s`` (``H_i`` as
+    ``basis_hunit(s)`` returns them), built in batches without a matrix
     ``expm``: Rodrigues' formula for the qubit, a scaled Taylor series for
     larger frames (the steps live in ``_framesearch``):
 
@@ -104,74 +109,59 @@ def delta_quant_detail(
     2. The best 256 take two steps of a batched compass descent, and the
        best 64 of those ten more, so that the frames rank by the depth of
        their basin.
-    3. The best ``max(opt.restarts, 8, 2 len(b))`` descended frames that
+    3. The best ``max(opt.restarts, 8, 2 (d^2 - 1))`` descended frames that
        lie apart are refined together, as lanes of one loop of at most 500
        rounds, by Newton's method on the minimax problem ``min t`` subject
        to ``t + (U L U^T)_ij >= 0`` (``i != j``): exact commutator
        derivatives of ``U L U^T``, an active-set model problem per lane,
        and a backtracking step on the largest negativity. The lanes
        converge to the minimax frames themselves, never above their
-       descended values, and ``lam`` is read from the best one's rotation.
+       descended values.
 
-    ``restarts_agreeing`` counts the refined starts that end within 1e-3 of
-    the best. The reported value is an upper bound of the true infimum;
-    zero means the negativity is a frame artifact.
+    ``lam`` is read from the best rotation in closed form: ``K U K^-1`` is
+    ``u (x) conj(u)`` for the unitary ``u = exp(-i sum_i lam_i sigma_i)``,
+    and ``lam`` is the least-norm one that the logarithms of ``u``'s
+    central multiples give. ``restarts_agreeing`` counts the refined starts
+    that end within 1e-3 of the best. The reported value is an upper bound
+    of the true infimum; zero means the negativity is a frame artifact.
 
-    ``b`` must hold real antisymmetric generators with zero column sums,
-    as ``basis_hunit`` returns them. Raises ValueError when ``g`` is not a
-    square ``n x n`` matrix, ``b`` is not such a stack of ``n x n``
-    matrices, or either has non-finite entries.
+    Raises ValueError when ``g`` is not a square ``d^2 x d^2`` matrix for
+    the SIC's ``d``, or has non-finite entries.
     """
     lmat = as_matrix(g)
-    basis = np.asarray(b, dtype=float)
-    square = lmat.ndim == 2 and lmat.shape[0] == lmat.shape[1]
-    if not square or basis.ndim != 3 or basis.shape[1:] != lmat.shape:
+    n = s.dim * s.dim
+    if lmat.shape != (n, n):
         raise ValueError(
-            f"expected a square generator and a stack of matching basis matrices, "
-            f"got shapes {lmat.shape} and {basis.shape}"
+            f"generator and SIC shapes do not match: {lmat.shape} against ({n}, {n})"
         )
     _require_finite(lmat, "generator")
-    _require_finite(basis, "basis")
-    scale = max(1.0, float(np.abs(basis).max()))
-    asym = float(np.abs(basis + basis.transpose(0, 2, 1)).max())
-    col_sums = float(np.abs(basis.sum(axis=1)).max())
-    if max(asym, col_sums) > 1e-10 * scale:
-        raise ValueError(
-            "basis must hold antisymmetric generators with zero column sums "
-            f"(deviation {max(asym, col_sums):.3e})"
-        )
     opt = opt or OptConfig(restarts=32)
     # imported here, not at the top, so that the module is compiled only
     # when a search runs and `import sicprob` stays cheap
     from ._framesearch import search
 
-    value, lam, agreeing, evaluations = search(lmat, basis, opt)
+    value, lam, agreeing, evaluations = search(lmat, s, opt)
     return DeltaQuantReport(
         value=value, lam=lam, restarts_agreeing=agreeing, evaluations=evaluations
     )
 
 
-def delta_quant(
-    g: Generator | np.ndarray, b: np.ndarray, opt: OptConfig | None = None
-) -> float:
+def delta_quant(g: Generator | np.ndarray, s: SicPovm, opt: OptConfig | None = None) -> float:
     """Negativity of a generator minimized over unitary frame changes."""
-    return delta_quant_detail(g, b, opt).value
+    return delta_quant_detail(g, s, opt).value
 
 
-def _markov_parts(s_matrix: np.ndarray, s: SicPovm, basis: np.ndarray | None = None):
+def _markov_parts(s_matrix: np.ndarray, s: SicPovm):
     """Log, its exponential, unitary part, dissipative fit, its residual
     and ``S_mark``.
 
     The one Markov path: takes the real principal log of the matrix, keeps
     its unitary part, projects the remainder onto valid dissipative parts
-    and re-exponentiates. ``basis`` is ``basis_hunit(s)`` when the caller
-    has it already. Raises LogBranchError (with the offending eigenvalues)
-    when the log does not exist on the principal branch.
+    and re-exponentiates. Raises LogBranchError (with the offending
+    eigenvalues) when the log does not exist on the principal branch.
     """
     lmat, exp_log = _log_real_and_exp(np.asarray(s_matrix, dtype=float))
-    if basis is None:
-        basis = basis_hunit(s)
-    h_part = project_unit(lmat, basis)
+    h_part = project_unit(lmat, basis_hunit(s))
     d_proj, residual = project_mark(lmat - h_part, s)
     s_mark = mat_exp(h_part + d_proj)
     return lmat, exp_log, h_part, d_proj, residual, s_mark
@@ -241,13 +231,12 @@ def analyze_evolution(
     the data, and for an exactly Markovian matrix it equals the log.
     """
     s_matrix = np.asarray(s_matrix, dtype=float)
-    basis = basis_hunit(s)
-    lmat, exp_log, h_part, d_proj, residual, s_mark = _markov_parts(s_matrix, s, basis)
+    lmat, exp_log, h_part, d_proj, residual, s_mark = _markov_parts(s_matrix, s)
     return EvolutionAnalysis(
         log=lmat,
         h_part=h_part,
         d_part=lmat - h_part,
-        quant=delta_quant_detail(h_part + d_proj, basis, opt),
+        quant=delta_quant_detail(h_part + d_proj, s, opt),
         mark=_markov_report(s_matrix, exp_log, s_mark),
         markov_residual=residual,
     )

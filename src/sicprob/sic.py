@@ -24,7 +24,6 @@ __all__ = [
     "Fiducial",
     "SicPovm",
     "SicReport",
-    "vec",
     "builtin_qubit",
     "from_fiducial",
     "verify",

@@ -18,6 +18,7 @@ from .sic import _TETRA, SicPovm
 
 __all__ = [
     "MeasurementMap",
+    "validate_density",
     "state_to_prob",
     "prob_to_state",
     "qplex_membership",

@@ -132,9 +132,14 @@ def reconstruct_raw(freqs: np.ndarray, s: SicPovm) -> np.ndarray:
 
 
 def error_estimate(shots: int) -> float:
-    """Worst-case statistical error per matrix entry, ``1/sqrt(N)``."""
-    if not 1 <= shots < math.inf:
+    """Worst-case statistical error per matrix entry, ``1/sqrt(N)``.
+
+    Raises ValueError unless ``shots`` is an integer (not a bool) of at
+    least 1.
+    """
+    if isinstance(shots, float) and not math.isfinite(shots):
         raise ValueError(f"shots must be finite and at least 1, got {shots}")
+    _require_int(shots, "shots", 1)
     return 1.0 / math.sqrt(shots)
 
 

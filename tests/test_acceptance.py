@@ -23,7 +23,6 @@ from sicprob.channels import (
 )
 from sicprob.dynamics import (
     GkslSpec,
-    basis_hunit,
     evolve_unitary,
     hgen_from_hamiltonian,
     lgen_from_gksl,
@@ -110,7 +109,6 @@ def test_criterion_3_phase_gate_fixture():
 
 
 def test_criterion_4_reference_table_regression():
-    b = basis_hunit(SIC)
     opt_quant = OptConfig(restarts=32, seed=0)
 
     _, _, h_u, d_u, _, s_mark_u = _markov_parts(S_DRIVE, SIC)
@@ -118,7 +116,7 @@ def test_criterion_4_reference_table_regression():
     assert np.abs(d_u - D_DRIVE).max() < 0.02
     dn_u = np.sqrt(np.sum((S_DRIVE - s_mark_u) ** 2)) / 4
     assert 0.001 < dn_u < 0.005
-    quant_u = delta_quant_detail(h_u + d_u, b, opt_quant)
+    quant_u = delta_quant_detail(h_u + d_u, SIC, opt_quant)
     assert 0.76 < quant_u.value < 0.80
 
     _, _, h_d, d_d, _, s_mark_d = _markov_parts(S_DECOHERE, SIC)
@@ -126,7 +124,7 @@ def test_criterion_4_reference_table_regression():
     assert np.abs(d_d - D_DECOHERE).max() < 0.02
     dn_d = np.sqrt(np.sum((S_DECOHERE - s_mark_d) ** 2)) / 4
     assert 0.004 < dn_d < 0.010
-    quant_d = delta_quant_detail(h_d + d_d, b, opt_quant)
+    quant_d = delta_quant_detail(h_d + d_d, SIC, opt_quant)
     assert quant_d.value < 0.005
     print(
         "PASS criterion-4: table regression "

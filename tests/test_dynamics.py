@@ -241,9 +241,8 @@ def test_evolve_unitary_orthogonal_bistochastic():
         assert np.abs(u.sum(axis=1) - 1.0).max() < 1e-9
 
 
-def test_evolve_unitary_accepts_basis_stack():
-    b = basis_hunit(SIC)
-    u = evolve_unitary(H3_QUBIT / 2, np.pi, b)
+def test_evolve_unitary_accepts_bare_matrix():
+    u = evolve_unitary(H3_QUBIT / 2, np.pi, SIC)
     assert np.abs(u - rotation_z_closed_form(np.pi)).max() < 1e-10
 
 
@@ -295,6 +294,13 @@ def test_evolve_time_ordered_generator_objects():
 def test_evolve_time_ordered_rejects_nonfinite_time(t):
     with pytest.raises(ValueError, match="t must be finite"):
         evolve_time_ordered(lambda _: H3_QUBIT, t)
+
+
+@pytest.mark.parametrize("steps", [0, 2.5, True, 4.0, "4"])
+def test_evolve_time_ordered_rejects_what_is_not_a_step_count(steps):
+    # 2.5 used to raise TypeError from range, and True to run one step
+    with pytest.raises(ValueError, match="^steps must be an integer"):
+        evolve_time_ordered(lambda _: H3_QUBIT, 1.0, steps=steps)
 
 
 def test_evolve_time_ordered_calls_gen_fn_once_per_step():

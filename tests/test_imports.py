@@ -1,6 +1,8 @@
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -128,3 +130,16 @@ def test_cli_analyze_does_not_load_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # the verb prints its table first
     assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
+
+def test_package_exports_the_public_names_of_its_modules():
+    # the package re-exports every name in its modules' __all__, the JSON
+    # codecs of serialize apart, and nothing else
+    names = set()
+    for info in pkgutil.iter_modules(sicprob.__path__):
+        if info.name != "serialize":
+            module = importlib.import_module(f"sicprob.{info.name}")
+            names |= set(getattr(module, "__all__", ()))
+    assert len(set(sicprob.__all__)) == len(sicprob.__all__)
+    assert set(sicprob.__all__) == names | {"__version__"}
+    assert all(hasattr(sicprob, name) for name in sicprob.__all__)

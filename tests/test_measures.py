@@ -109,30 +109,16 @@ def test_experiment_compose_rejects_nonfinite(part):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_delta_quant_rejects_nonfinite(bad):
-    b = basis_hunit(SIC)
     g = H3_QUBIT.copy()
     g[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        delta_quant(g, b, OptConfig(restarts=1))
-    b_bad = b.copy()
-    b_bad[0, 0, 1] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        delta_quant_detail(H3_QUBIT, b_bad, OptConfig(restarts=1))
+        delta_quant(g, SIC, OptConfig(restarts=1))
 
 
 def test_delta_quant_rejects_mismatched_basis():
+    # a qubit generator and the qutrit SIC
     with pytest.raises(ValueError, match="shapes"):
-        delta_quant_detail(H3_QUBIT, basis_hunit(load_d3()), OptConfig(restarts=1))
-
-
-def test_delta_quant_rejects_basis_that_does_not_generate_rotations():
-    b = basis_hunit(SIC)
-    with pytest.raises(ValueError, match="antisymmetric"):
-        delta_quant_detail(H3_QUBIT, np.abs(b), OptConfig(restarts=1))
-    shifted = b.copy()
-    shifted[0] += 0.1  # antisymmetric no more
-    with pytest.raises(ValueError, match="antisymmetric"):
-        delta_quant_detail(H3_QUBIT, shifted, OptConfig(restarts=1))
+        delta_quant_detail(H3_QUBIT, load_d3(), OptConfig(restarts=1))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -173,40 +159,38 @@ def test_descent_builds_only_its_step_stack(monkeypatch):
     # the descent moves each frame by rotations built once a search (13
     # step lengths, both ways along the 3 qubit coordinates); every other
     # rotation built after the screen is a refinement trial, and lam is
-    # read once, along the best frame's path
-    b = basis_hunit(SIC)
+    # read once, from the best frame's rotation
     g = hgen_from_hamiltonian(SZ, SIC) + lgen_from_gksl(
         GkslSpec(2, np.zeros((2, 2)), (0.4 * SZ + 0.2j * np.eye(2)[::-1],)), SIC
     ).matrix
-    _framesearch._screen(b, 3)
+    _framesearch._screen(SIC, 3)
     calls = []
-    for name in ("_frame_rotations", "_refine", "_frame_log"):
+    for name in ("_frame_rotations", "_refine", "_frame_lam"):
         wrapped = getattr(_framesearch, name)
 
         def logging(*args, _name=name, _fn=wrapped):
-            # the rows of lam, of the lanes' rotations, of the rotations read
+            # the rows of lam, of the lanes' rotations, of the rotation read
             calls.append((_name, len(args[2] if _name == "_refine" else args[0])))
             return _fn(*args)
 
         monkeypatch.setattr(_framesearch, name, logging)
-    rep = delta_quant_detail(g, b, OptConfig(restarts=2, seed=3))
+    rep = delta_quant_detail(g, SIC, OptConfig(restarts=2, seed=3))
     refining = calls.index(("_refine", 8))
     assert calls[:refining] == [("_frame_rotations", 13 * 2 * 3)]
-    *trials, (last, _) = calls[refining + 1 :]
-    assert last == "_frame_log" and {name for name, _ in trials} == {"_frame_rotations"}
+    *trials, last = calls[refining + 1 :]
+    assert last == ("_frame_lam", 4) and {name for name, _ in trials} == {"_frame_rotations"}
     assert rep.evaluations == 1024 + 6 * (256 * 2 + 64 * 10) + 8 + sum(rows for _, rows in trials)
 
 
 def test_screen_is_built_once_per_basis_and_seed():
-    # every search with one basis and seed scores the same 1024 frames, so
-    # they are built once and shared read-only
-    b = basis_hunit(SIC)
-    lam, u = _framesearch._screen(b, 0)
-    again = _framesearch._screen(b.copy(), 0)
+    # every search with one SIC, so one basis, and one seed scores the same
+    # 1024 frames, so they are built once and shared read-only
+    lam, u = _framesearch._screen(SIC, 0)
+    again = _framesearch._screen(SIC, 0)
     assert again[0] is lam and again[1] is u
     assert not lam.flags.writeable and not u.flags.writeable
-    assert np.array_equal(u, _frame_rotations(np.array(lam), b))
-    assert _framesearch._screen(b, 1)[0] is not lam
+    assert np.array_equal(u, _frame_rotations(np.array(lam), basis_hunit(SIC)))
+    assert _framesearch._screen(SIC, 1)[0] is not lam
 
 
 @pytest.mark.bits
@@ -232,8 +216,7 @@ def test_delta_quant_no_worse_than_recorded_search():
     with open(DATA / "delta_quant_tomo_d2_r2_seed0.json", encoding="utf-8") as fh:
         record = json.load(fh)
     opt = OptConfig(**record["opt"])
-    b = basis_hunit(SIC)
-    values = [delta_quant(np.array(g), b, opt) for g in record["generators"]]
+    values = [delta_quant(np.array(g), SIC, opt) for g in record["generators"]]
     assert len(values) == len(record["delta_quant"]) == len(record["delta_quant_slsqp"]) == 48
     for new, nelder_mead, slsqp in zip(values, record["delta_quant"], record["delta_quant_slsqp"]):
         assert new <= nelder_mead + 1e-6
@@ -246,22 +229,29 @@ def test_qutrit_delta_quant_no_worse_than_recorded_search():
     with open(DATA / "delta_quant_qutrit_restarts8.json", encoding="utf-8") as fh:
         record = json.load(fh)
     opt = OptConfig(**record["opt"])
-    b = basis_hunit(load_d3())
+    sic = load_d3()
+    b = basis_hunit(sic)
     for g, old in zip(record["generators"], record["delta_quant"], strict=True):
-        rep = delta_quant_detail(np.array(g), b, opt)
+        rep = delta_quant_detail(np.array(g), sic, opt)
         assert rep.value <= old + 1e-6
         u = mat_exp(np.einsum("i,iab->ab", rep.lam, b))
         assert rep.value == pytest.approx(negativity(u @ np.array(g) @ u.T), abs=1e-12)
 
 
+# the ten seeds of 900-959 whose best frames (restarts 1) lie farthest out
+FAR_FRAME_SEEDS = (912, 915, 920, 925, 932, 933, 944, 954, 957, 959)
+
+
 @pytest.mark.parametrize(
-    "seed, restarts, search_seed", [(937, 16, 0), (979, 1, 79), (5154, 1, 154)]
+    "seed, restarts, search_seed",
+    [(937, 16, 0), (979, 1, 79), (5154, 1, 154)] + [(k, 1, 0) for k in FAR_FRAME_SEEDS],
 )
 def test_qutrit_lam_reproduces_the_value_of_a_frame_that_moved_far(seed, restarts, search_seed):
     # the best frames of these generators drift from the descent's
-    # first-order lam and move by up to ~3 rad while refining, where
-    # Newton's method on the exponential diverges from a far start; lam is
-    # read along the frame's path, so it still rebuilds the frame scored
+    # first-order lam and move by up to ~3 rad while refining, and their
+    # lam lies near the edge of the least-norm region (|lam| ~ 2); lam is
+    # read from the SIC's unitary of the final rotation, so it still
+    # rebuilds the frame scored
     rng = np.random.default_rng(seed)
     scale = rng.choice([0.1, 1.0, 3.0])
     g = scale * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
@@ -269,27 +259,47 @@ def test_qutrit_lam_reproduces_the_value_of_a_frame_that_moved_far(seed, restart
     sic = load_d3()
     lmat = lgen_from_gksl(GkslSpec(3, (g + g.conj().T) / 2, (v,)), sic).matrix
     b = basis_hunit(sic)
-    rep = delta_quant_detail(lmat, b, OptConfig(restarts=restarts, seed=search_seed))
+    rep = delta_quant_detail(lmat, sic, OptConfig(restarts=restarts, seed=search_seed))
     u = mat_exp(np.einsum("i,iab->ab", rep.lam, b))
     assert abs(rep.value - negativity(u @ lmat @ u.T)) <= 1e-12 * np.abs(lmat).max()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_frame_lam_rebuilds_the_rotation(dim):
+    # the read-out of lam from a frame rotation, through the SIC's unitary,
+    # rebuilds the rotation to rounding; the qubit cases include rotations
+    # by angles within 1e-6 of pi (|lam| = pi / 2), where u and -u give
+    # lam of about equal norm, and the identity
+    sic = SIC if dim == 2 else load_d3()
+    b = basis_hunit(sic)
+    rng = np.random.default_rng(130 + dim)
+    lams = list(rng.uniform(-2.0, 2.0, (40, len(b)))) + [np.zeros(len(b))]
+    if dim == 2:
+        for offset in (-1e-6, -1e-9, 0.0, 1e-9, 1e-6):
+            axis = rng.standard_normal(3)
+            lams.append((np.pi + offset) / 2 * axis / np.linalg.norm(axis))
+    for lam in lams:
+        u = mat_exp(np.einsum("i,iab->ab", lam, b))
+        read = _framesearch._frame_lam(u, sic)
+        assert np.abs(mat_exp(np.einsum("i,iab->ab", read, b)) - u).max() <= 1e-12
+        # the least-norm lam: never longer than the one that built u
+        assert np.linalg.norm(read) <= np.linalg.norm(lam) + 1e-12
+
+
 def test_delta_quant_refines_at_least_eight_starts():
-    b = basis_hunit(SIC)
     g = hgen_from_hamiltonian(SZ, SIC) + lgen_from_gksl(
         GkslSpec(2, np.zeros((2, 2)), (0.4 * SZ + 0.2j * np.eye(2)[::-1],)), SIC
     ).matrix
     # every refined start of this generator reaches the same minimum
     for restarts, refined in ((1, 8), (12, 12)):
-        rep = delta_quant_detail(g, b, OptConfig(restarts=restarts, seed=3))
+        rep = delta_quant_detail(g, SIC, OptConfig(restarts=restarts, seed=3))
         assert rep.restarts_agreeing == refined
-        u = mat_exp(np.einsum("i,iab->ab", rep.lam, b))
+        u = mat_exp(np.einsum("i,iab->ab", rep.lam, basis_hunit(SIC)))
         assert rep.value == pytest.approx(negativity(u @ g @ u.T), abs=1e-12)
 
 
 def test_delta_quant_counts_every_frame_scored(monkeypatch):
     # every frame the search scores passes through _conjugate once
-    b = basis_hunit(SIC)
     g = hgen_from_hamiltonian(SZ, SIC) + lgen_from_gksl(
         GkslSpec(2, np.zeros((2, 2)), (0.4 * SZ + 0.2j * np.eye(2)[::-1],)), SIC
     ).matrix
@@ -308,7 +318,7 @@ def test_delta_quant_counts_every_frame_scored(monkeypatch):
         counts = []
         for _ in range(2):
             scored.clear()
-            rep = delta_quant_detail(g, b, OptConfig(restarts=restarts, seed=3))
+            rep = delta_quant_detail(g, SIC, OptConfig(restarts=restarts, seed=3))
             assert rep.evaluations == sum(scored)
             counts.append(rep.evaluations)
         assert counts[0] == counts[1]
@@ -321,17 +331,16 @@ def test_delta_quant_zero_for_classical_generator():
     # exact dephasing dissipator produces a classical-looking generator
     v = np.sqrt(0.8) * SZ
     g = lgen_from_gksl(GkslSpec(2, np.zeros((2, 2)), (v,)), SIC)
-    rep = delta_quant_detail(g.matrix, basis_hunit(SIC), OptConfig(restarts=8, seed=10))
+    rep = delta_quant_detail(g.matrix, SIC, OptConfig(restarts=8, seed=10))
     assert rep.value < 1e-6
 
 
 def test_delta_quant_never_exceeds_plain_negativity():
     # the identity frame rotation is always a candidate
     rng = np.random.default_rng(102)
-    b = basis_hunit(SIC)
     for _ in range(3):
         g = hgen_from_hamiltonian(random_hermitian(rng, 2), SIC)
-        rep = delta_quant_detail(g, b, OptConfig(restarts=6, seed=11))
+        rep = delta_quant_detail(g, SIC, OptConfig(restarts=6, seed=11))
         assert rep.value <= negativity(g) + 1e-9
 
 
@@ -340,15 +349,14 @@ def test_delta_quant_invariant_under_frame_rotation():
     b = basis_hunit(SIC)
     g = hgen_from_hamiltonian(SZ, SIC)
     u = mat_exp(0.6 * b[0])
-    v1 = delta_quant(g, b, OptConfig(restarts=12, seed=12))
-    v2 = delta_quant(u @ g @ u.T, b, OptConfig(restarts=12, seed=13))
+    v1 = delta_quant(g, SIC, OptConfig(restarts=12, seed=12))
+    v2 = delta_quant(u @ g @ u.T, SIC, OptConfig(restarts=12, seed=13))
     assert abs(v1 - v2) < 1e-3
 
 
 def test_delta_quant_reports_agreement():
-    b = basis_hunit(SIC)
     g = hgen_from_hamiltonian(SZ, SIC)
-    rep = delta_quant_detail(g, b, OptConfig(restarts=8, seed=14))
+    rep = delta_quant_detail(g, SIC, OptConfig(restarts=8, seed=14))
     assert rep.lam.shape == (3,)
     assert 1 <= rep.restarts_agreeing <= 8
     assert rep.value >= 0
@@ -479,7 +487,5 @@ def test_delta_quant_on_dissipative_table_matrix():
     from sicprob.measures import _markov_parts
 
     _, _, h_part, d_proj, _, _ = _markov_parts(S_DECOHERE, SIC)
-    val = delta_quant(
-        h_part + d_proj, basis_hunit(SIC), OptConfig(restarts=16, seed=22)
-    )
+    val = delta_quant(h_part + d_proj, SIC, OptConfig(restarts=16, seed=22))
     assert val < 0.005

@@ -129,7 +129,7 @@ def qubit_generators(draw):
 @SEARCH_PROPERTY
 @given(qubit_generators())
 def test_delta_quant_between_zero_and_negativity(lmat):
-    value = delta_quant(lmat, QUBIT_BASIS, OptConfig(restarts=1))
+    value = delta_quant(lmat, SICS[2], OptConfig(restarts=1))
     assert 0.0 <= value <= negativity(lmat)
 
 
@@ -138,8 +138,8 @@ def test_delta_quant_between_zero_and_negativity(lmat):
 def test_delta_quant_is_frame_invariant(lmat, lam):
     u = mat_exp(np.einsum("i,iab->ab", lam, QUBIT_BASIS))
     opt = OptConfig(restarts=1)
-    rotated = delta_quant(u @ lmat @ u.T, QUBIT_BASIS, opt)
-    assert abs(delta_quant(lmat, QUBIT_BASIS, opt) - rotated) <= 1e-6
+    rotated = delta_quant(u @ lmat @ u.T, SICS[2], opt)
+    assert abs(delta_quant(lmat, SICS[2], opt) - rotated) <= 1e-6
 
 
 @PROPERTY

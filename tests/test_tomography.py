@@ -61,8 +61,11 @@ def test_input_prob_matrix_closed_form():
 def test_error_estimate():
     assert error_estimate(1024) == pytest.approx(0.03125)
     assert error_estimate(4) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        error_estimate(0)
+    assert error_estimate(np.int64(4)) == pytest.approx(0.5)
+    # True used to count as one shot, and 2.5 as a shot count
+    for shots in (0, True, 2.5, 4.0, "4"):
+        with pytest.raises(ValueError, match="^shots must be"):
+            error_estimate(shots)
 
 
 @pytest.mark.parametrize("shots", [float("nan"), float("inf"), -float("inf")])
