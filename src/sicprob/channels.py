@@ -17,7 +17,7 @@ import numpy as np
 
 from ._optim import OptConfig
 from .errors import NumericalDomainError, OptimizerError, PhysicalityError, _require_finite
-from .sic import SicPovm, _to_frame
+from .sic import SicPovm, _require_sic, _to_frame
 
 __all__ = [
     "CptpReport",
@@ -194,11 +194,6 @@ def is_cptp(
     )
 
 
-def _tp_operator(p: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """``sum_k A_k^H A_k`` expressed through the coefficient Gram matrices ``(k, n, n)``."""
-    return np.einsum("kji,iab,jbc->kac", p, sig, sig)
-
-
 def _kraus_coeffs_from_choi(rho: np.ndarray, d: int, sig: np.ndarray) -> np.ndarray:
     """Warm-start V: clip the Choi spectrum, read off Kraus coefficients (those
     of the completely depolarizing channel if no eigenvalue is left)."""
@@ -238,15 +233,16 @@ def project_cptp(
     routine without its per-evaluation wrapping, every restart one lane of
     a lock-step run, at most 1000 iterations a stage). A lane's objective
     and gradient cost two matrix products: a forward map, built once per
-    call, takes ``P = V V^H`` to the model matrix and ``T`` below, and its
+    SIC, takes ``P = V V^H`` to the model matrix and ``T`` below, and its
     adjoint takes their residuals back. The best of ``opt.restarts``
     perturbed runs is then repaired to exact trace preservation by the
     substitution ``A_k -> A_k T^{-1/2}`` with ``T = sum_k A_k^H A_k``, so
     the returned matrix is exactly CPTP.
 
-    Raises ValueError for a matrix of the wrong shape or with non-finite
-    entries, and OptimizerError if no restart converges or the trace
-    operator of the best run is close to singular.
+    Raises TypeError unless both SICs are SicPovm objects, ValueError for a
+    matrix of the wrong shape or with non-finite entries, and OptimizerError
+    if no restart converges or the trace operator of the best run is close
+    to singular.
     """
     return _project_cptp_many((s_raw,), sic_in, sic_out, opt)[0]
 
@@ -257,15 +253,17 @@ def _project_cptp_many(mats, sic_in: SicPovm, sic_out: SicPovm, opt: OptConfig |
     evaluated by products of its own, so its bits do not depend on the lanes that
     share its rounds. Raises the error of the first invalid matrix, else that of
     the first one whose projection fails."""
-    from .dynamics import _theta_stack, basis_sigma
+    from .dynamics import _cptp_maps, _sic_ops, _sigma_stack
 
+    _require_sic(sic_in=sic_in, sic_out=sic_out)
     if sic_in.dim != sic_out.dim:
         raise ValueError("projection requires equal input and output dimensions")
     opt = opt or OptConfig()
     d = sic_in.dim
     n = d * d
-    sig = basis_sigma(d)
-    theta = _theta_stack(sic_in, sic_out, sig)
+    sig = _sigma_stack(d)
+    maps = _sic_ops(sic_in)[-3:] if sic_out is sic_in else _cptp_maps(sic_in, sic_out)
+    theta, fold, unfold = maps
     eye = np.eye(d)
     restarts = opt.restarts
     starts, s_lanes = [], []
@@ -284,42 +282,29 @@ def _project_cptp_many(mats, sic_in: SicPovm, sic_out: SicPovm, opt: OptConfig |
             starts.append(x_start + 0.3 * rng.standard_normal(x_start.shape))
         s_lanes += [s_raw.T] * restarts
     s_lanes = np.array(s_lanes)
+    add = np.add.reduce  # ndarray.sum without its Python wrapper: the same sums
 
     # The forward map takes a lane's P to [S_model | T] in one product, the
-    # adjoint map takes [2 resid^T | 2 mu (T - I)] to W in one more. Each
-    # lane gets a product of its own: one GEMM over the stacked lanes would
-    # give a lane bits that depend on how many lanes ask in its round.
-    quad = np.einsum("iab,jbc->ijac", sig, sig)  # sigma_i sigma_j
-    fold = np.concatenate(
-        [theta.reshape(n * n, n * n), quad.transpose(1, 0, 2, 3).reshape(n * n, d * d)], axis=1
-    )
-    unfold = np.concatenate(
-        [
-            theta.transpose(2, 3, 0, 1).reshape(n * n, n * n),
-            quad.transpose(3, 2, 1, 0).reshape(d * d, n * n),
-        ]
-    )
-
+    # adjoint map [resid^T | mu (T - I)] to W in one more. Each lane gets
+    # products of its own: one GEMM over the stacked lanes would give a lane
+    # bits that depend on how many lanes ask in its round.
     def fun_grad_many(x: np.ndarray, mu: np.ndarray, lanes: np.ndarray):
         k = len(x)
-        v = np.empty((k, n, n), complex)
-        v.real, v.imag = x[:, : n * n].reshape(v.shape), x[:, n * n :].reshape(v.shape)
+        # V from the real and imaginary halves of each row, in one copy
+        v = x.reshape(k, 2, n * n).transpose(0, 2, 1).copy().view(complex).reshape(k, n, n)
         p = v @ v.conj().transpose(0, 2, 1)
         out = (p.reshape(k, 1, n * n) @ fold)[:, 0]
-        s_model = out[:, : n * n].real.reshape(k, n, n)
-        target = s_lanes if k == len(s_lanes) else s_lanes[lanes]
-        resid = s_model.transpose(0, 2, 1) - target
-        t_dev = out[:, n * n :].reshape(k, d, d)
-        t_dev -= eye
-        f = (resid**2).sum(axis=(1, 2)) + mu * (np.abs(t_dev) ** 2).sum(axis=(1, 2))
-        back = np.empty((k, 1, n * n + d * d), complex)
-        back[:, 0, : n * n] = (2.0 * resid).transpose(0, 2, 1).reshape(k, n * n)
-        back[:, 0, n * n :] = ((2.0 * mu)[:, None, None] * t_dev).reshape(k, d * d)
+        target = s_lanes if k == len(s_lanes) else s_lanes.take(lanes, 0)
+        resid = out[:, : n * n].real.reshape(k, n, n).transpose(0, 2, 1) - target
+        back = np.empty((k, 1, n * n + d * d), complex)  # the adjoint map's input
+        t_dev = back[:, 0, n * n :].reshape(k, d, d)  # a view: T - I, then mu (T - I)
+        np.subtract(out[:, n * n :].reshape(k, d, d), eye, out=t_dev)
+        f = add(resid**2, axis=(1, 2)) + mu * add(np.abs(t_dev) ** 2, axis=(1, 2))
+        back[:, 0, : n * n] = resid.transpose(0, 2, 1).reshape(k, n * n)
+        t_dev *= mu[:, None, None]
         w = (back @ unfold).reshape(k, n, n)
         av = (w.transpose(0, 2, 1) + w.conj()) @ v  # twice the Hermitian part of w, times V
-        g = np.empty((k, 2 * n * n))
-        g[:, : n * n], g[:, n * n :] = av.real.reshape(k, -1), av.imag.reshape(k, -1)
-        return f, g
+        return f, av.view(float).reshape(k, n * n, 2).transpose(0, 2, 1).reshape(k, 2 * n * n)
 
     from ._lbfgsb import lbfgsb_lanes
 
@@ -338,7 +323,7 @@ def _project_cptp_many(mats, sic_in: SicPovm, sic_out: SicPovm, opt: OptConfig |
         if best is None or n_converged == 0:
             raise OptimizerError(f"CPTP projection failed to converge in {opt.restarts} restarts")
         v = (best[1][: n * n] + 1j * best[1][n * n :]).reshape(n, n)
-        t_op = _tp_operator((v @ v.conj().T)[None], sig)[0]
+        t_op = np.einsum("ji,iab,jbc->ac", v @ v.conj().T, sig, sig)  # sum_k A_k^H A_k
         vals, vecs = np.linalg.eigh((t_op + t_op.conj().T) / 2)
         if vals.min() < 1e-8:
             raise OptimizerError(

@@ -26,7 +26,7 @@ from .errors import (
     _require_int,
 )
 from .linalg import frobenius_dist, mat_exp
-from .sic import SicPovm, _to_frame
+from .sic import SicPovm, _require_sic, _to_frame
 
 __all__ = [
     "Generator",
@@ -147,8 +147,9 @@ def basis_hunit(s: SicPovm) -> np.ndarray:
 
     Built by feeding each traceless basis element through the Hamiltonian
     construction; normalized so ``Tr(H_i H_j^T) = 4 d delta_ij``. Built
-    once per SIC; the returned array is read-only.
+    once per SIC, read-only. Raises TypeError unless ``s`` is a SicPovm.
     """
+    _require_sic(s=s)
     return _sic_ops(s).hunit
 
 
@@ -298,7 +299,7 @@ def omega_basis(s: SicPovm, b: np.ndarray) -> np.ndarray:
     """
     b = np.asarray(b)
     _require_finite(b, "basis")
-    return _omega_stack(s, b)
+    return _omega_stack(s, b, _theta_stack(s, s, b))
 
 
 def _theta_stack(sic_in: SicPovm, sic_out: SicPovm, sig: np.ndarray) -> np.ndarray:
@@ -315,15 +316,26 @@ def _theta_stack(sic_in: SicPovm, sic_out: SicPovm, sig: np.ndarray) -> np.ndarr
     return np.einsum("ace,icf,jeg,fgb->ijab", kinv4, sig, sig.conj(), kmat4, optimize=True)
 
 
-def _omega_stack(s: SicPovm, sig: np.ndarray) -> np.ndarray:
+def _cptp_maps(sic_in: SicPovm, sic_out: SicPovm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``Theta`` over ``basis_sigma(d)``, ``project_cptp``'s forward map and its
+    adjoint, with the gradient's factor 2 folded in (exactly: on the float view)."""
+    n = sic_in.dim**2
+    sig = _sigma_stack(sic_in.dim)
+    theta = _theta_stack(sic_in, sic_out, sig)
+    quad = np.einsum("iab,jbc->ijac", sig, sig)  # sigma_i sigma_j
+    fold = np.concatenate([theta.reshape(n * n, -1), quad.swapaxes(0, 1).reshape(n * n, -1)], 1)
+    adjoint = [theta.transpose(2, 3, 0, 1), quad.transpose(3, 2, 1, 0)]
+    unfold = np.concatenate([a.reshape(-1, n * n) for a in adjoint])
+    return theta, fold, (2.0 * unfold.view(float)).view(complex)
+
+
+def _omega_stack(s: SicPovm, sig: np.ndarray, jump: np.ndarray) -> np.ndarray:
     d = s.dim
     n = d * d
     kinv4 = s.kinv.reshape(n, d, d)
     kmat4 = s.kmat.reshape(d, d, n)
     prod = np.einsum("iab,jbc->ijac", sig, sig)  # sigma_i sigma_j
-    # the jump terms Theta_ij, K^-1 (sigma_j sigma_i (x) I) K
-    # and K^-1 (I (x) (sigma_i sigma_j).conj()) K
-    jump = _theta_stack(s, s, sig)
+    # K^-1 (sigma_j sigma_i (x) I) K and K^-1 (I (x) (sigma_i sigma_j).conj()) K
     left = np.einsum("xab,ijac,cby->jixy", kinv4, prod, kmat4, optimize=True)
     right = np.einsum("xab,ijbe,aey->ijxy", kinv4, prod.conj(), kmat4, optimize=True)
     return jump - 0.5 * (left + right)
@@ -357,22 +369,25 @@ class _SicOps(NamedTuple):
     hunit: np.ndarray  # basis_hunit(s)
     amat: np.ndarray  # Omega as a real map: P.view(float) -> sum_ij P_ij Omega_ij
     solve: np.ndarray  # (A^T A + rho I)^-1, the linear solve of each ADMM step
+    theta: np.ndarray  # Theta over basis_sigma(d), then project_cptp's
+    fold: np.ndarray  # forward and adjoint maps: _cptp_maps(s, s)
+    unfold: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
 def _sic_ops(s: SicPovm) -> _SicOps:
     """Build the operators of ``s`` once; ``SicPovm`` hashes by identity."""
-    d = s.dim
-    n = d * d
+    n = s.dim * s.dim
     # not basis_sigma: building the cache calls no public function, so
     # per-function call counts do not depend on whether the cache is warm
-    sig = _sigma_stack(d)[:-1]
+    sig = _sigma_stack(s.dim)[:-1]
     m = sig.shape[0]
-    flat = _omega_stack(s, sig).reshape(m * m, n * n).T
+    maps = _cptp_maps(s, s)
+    flat = _omega_stack(s, sig, maps[0][:-1, :-1]).reshape(m * m, n * n).T
     # interleaved (Re P_ij, Im P_ij) columns: a complex P viewed as floats
     amat = np.stack([flat.real, -flat.imag], axis=-1).reshape(n * n, 2 * m * m)
     solve = np.linalg.inv(amat.T @ amat + _ADMM_RHO * np.eye(2 * m * m))
-    arrays = (_hunit_stack(s, sig), amat, solve)
+    arrays = (_hunit_stack(s, sig), amat, solve, *maps)
     return _SicOps(sig, *map(_read_only, arrays))
 
 

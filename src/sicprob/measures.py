@@ -28,7 +28,7 @@ from .dynamics import (
 )
 from .errors import _require_finite
 from .linalg import _log_real_and_exp, frobenius_dist, mat_exp
-from .sic import SicPovm
+from .sic import SicPovm, _require_sic
 from .states import MeasurementMap
 
 __all__ = [
@@ -125,9 +125,11 @@ def delta_quant_detail(
     that end within 1e-3 of the best. The reported value is an upper bound
     of the true infimum; zero means the negativity is a frame artifact.
 
-    Raises ValueError when ``g`` is not a square ``d^2 x d^2`` matrix for
-    the SIC's ``d``, or has non-finite entries.
+    Raises TypeError unless ``s`` is a SicPovm, and ValueError when ``g``
+    is not a square ``d^2 x d^2`` matrix for the SIC's ``d``, or has
+    non-finite entries.
     """
+    _require_sic(s=s)
     lmat = as_matrix(g)
     n = s.dim * s.dim
     if lmat.shape != (n, n):
@@ -198,7 +200,7 @@ def markov_report(s_matrix: np.ndarray, s: SicPovm) -> MarkovReport:
     ``log_residual`` is the reconstruction error ``||exp(log S) - S||_F``
     of the real principal logarithm, i.e. how trustworthy the generator
     extraction itself was. The projection is exact, so it takes no
-    ``OptConfig``.
+    ``OptConfig``. Raises TypeError unless ``s`` is a SicPovm.
     """
     s_matrix = np.asarray(s_matrix, dtype=float)
     _, exp_log, _, _, _, s_mark = _markov_parts(s_matrix, s)

@@ -68,6 +68,14 @@ class SicPovm:
     kinv: np.ndarray
 
 
+def _require_sic(**sics) -> None:
+    """Raise TypeError, naming the argument, unless each value is a SicPovm
+    (and not, say, a basis stack built from one)."""
+    for what, s in sics.items():
+        if not isinstance(s, SicPovm):
+            raise TypeError(f"{what} must be a SicPovm, got {type(s).__name__}")
+
+
 @dataclass(frozen=True)
 class SicReport:
     """Deviations of a candidate projector family from the SIC conditions."""

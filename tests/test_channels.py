@@ -1,10 +1,14 @@
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from sicprob import channels
+from sicprob import channels, dynamics
 from sicprob._optim import OptConfig
 from sicprob.channels import (
     _project_cptp_many,
@@ -312,6 +316,46 @@ def test_project_cptp_matches_recorded_outputs():
         opt = OptConfig(restarts=2, seed=case["seed"])
         out = project_cptp(np.array(case["s_raw"]), SIC, SIC, opt)
         assert np.array_equal(out, np.array(case["s_cptp"]))
+
+
+@pytest.mark.bits
+def test_qutrit_projection_bytes_with_one_blas_thread():
+    # no recorded output pins a d=3 projection: this pins the digest of the
+    # one that projection_cases.py --qutrit-digest makes, with one BLAS
+    # thread (two threads give other bytes today)
+    tests = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(tests / "projection_cases.py"), "--qutrit-digest"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "51a751d6b1df2f15\n"
+
+
+@pytest.mark.bits
+def test_channel_between_two_sic_objects_builds_its_maps_per_call(monkeypatch):
+    # the per-SIC cache serves a channel on one SIC; between two SicPovm
+    # objects the maps come from _cptp_maps on each call, so two copies of
+    # one SIC give the bytes of the cached path
+    with open(DATA / "project_cptp_restarts2.json", encoding="utf-8") as fh:
+        case = json.load(fh)["cases"][0]
+    s_raw, opt = np.array(case["s_raw"]), OptConfig(restarts=2, seed=case["seed"])
+    want = project_cptp(s_raw, SIC, SIC, opt).tobytes()
+    calls = []
+    cptp_maps = dynamics._cptp_maps
+
+    def counting(sic_in, sic_out):
+        calls.append((sic_in, sic_out))
+        return cptp_maps(sic_in, sic_out)
+
+    monkeypatch.setattr(dynamics, "_cptp_maps", counting)
+    other = builtin_qubit()
+    assert [project_cptp(s_raw, SIC, other, opt).tobytes() for _ in range(2)] == [want] * 2
+    assert len(calls) == 2 and all(a is SIC and b is other for a, b in calls)
+    assert project_cptp(s_raw, SIC, SIC, opt).tobytes() == want
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("max_iter", [1, 3])

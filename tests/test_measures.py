@@ -8,9 +8,11 @@ import pytest
 from sicprob import _framesearch
 from sicprob._framesearch import _conjugate, _frame_rotations, _negativities
 from sicprob._optim import OptConfig
+from sicprob.channels import project_cptp
 from sicprob.dynamics import (
     GkslSpec,
     basis_hunit,
+    evolve_unitary,
     hgen_from_hamiltonian,
     lgen_from_gksl,
 )
@@ -119,6 +121,26 @@ def test_delta_quant_rejects_mismatched_basis():
     # a qubit generator and the qutrit SIC
     with pytest.raises(ValueError, match="shapes"):
         delta_quant_detail(H3_QUBIT, load_d3(), OptConfig(restarts=1))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda b: delta_quant(H3_QUBIT, b), "s"),
+        (lambda b: delta_quant_detail(H3_QUBIT, b), "s"),
+        (lambda b: project_cptp(np.eye(4), b, b), "sic_in"),
+        (lambda b: project_cptp(np.eye(4), SIC, b), "sic_out"),
+        (lambda b: evolve_unitary(H3_QUBIT, 1.0, b), "s"),
+        (lambda b: markov_report(np.eye(4), b), "s"),
+    ],
+    ids=["delta_quant", "delta_quant_detail", "project_cptp_in", "project_cptp_out",
+         "evolve_unitary", "markov_report"],
+)  # fmt: skip
+def test_a_basis_stack_in_place_of_the_sic_raises_type_error(call, name):
+    # the old basis-taking forms of these calls raised AttributeError or
+    # "unhashable type" from deep inside, which the CLI maps to no exit code
+    with pytest.raises(TypeError, match=f"^{name} must be a SicPovm, got ndarray$"):
+        call(basis_hunit(SIC))
 
 
 @pytest.mark.parametrize("dim", [2, 3])

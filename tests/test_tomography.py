@@ -10,6 +10,7 @@ import pytest
 
 from sicprob._optim import OptConfig
 import sicprob.channels
+import sicprob.dynamics
 import sicprob.tomography
 from sicprob.channels import is_cptp, kraus_to_pstoch, project_cptp
 from sicprob.errors import NumericalDomainError, OptimizerError
@@ -260,6 +261,30 @@ def test_run_pipeline_projects_each_matrix_once(monkeypatch):
     assert np.array_equal(report.cal.s_cptp, cal_dec)
     assert np.array_equal(report.s_u, cal_u)
     assert np.array_equal(report.main.s_cptp, project_cptp(raw_main, SIC, SIC, opt))
+
+
+def test_run_pipeline_builds_theta_once_per_sic(monkeypatch):
+    # Theta, and project_cptp's maps made from it, live in the per-SIC
+    # cache that project_mark reads too: a second pipeline builds none
+    sic = builtin_qubit()  # a SIC of its own, so that nothing is cached yet
+    a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(0.9)]], dtype=complex)
+    a1 = np.array([[0.0, np.sqrt(0.1)], [0.0, 0.0]], dtype=complex)
+    s_dec = kraus_to_pstoch([a0, a1], sic, sic)
+    counts_cal = simulate_counts(s_dec, sic, shots=1024, seed=73)
+    counts_main = simulate_counts(s_dec @ s_dec, sic, shots=1024, seed=74)
+    calls = []
+    theta_stack = sicprob.dynamics._theta_stack
+
+    def counting(sic_in, sic_out, sig):
+        calls.append((sic_in, sic_out, len(sig)))
+        return theta_stack(sic_in, sic_out, sig)
+
+    monkeypatch.setattr(sicprob.dynamics, "_theta_stack", counting)
+    opt = OptConfig(restarts=2, seed=34)
+    first, second = (run_pipeline(counts_main, counts_cal, sic, opt) for _ in range(2))
+    assert len(calls) == 1
+    assert calls[0][0] is sic and calls[0][1] is sic and calls[0][2] == 4
+    assert np.array_equal(first.s_u, second.s_u)
 
 
 def test_pipeline_raises_what_the_cal_record_raises_alone(monkeypatch):
