@@ -317,16 +317,20 @@ def _theta_stack(sic_in: SicPovm, sic_out: SicPovm, sig: np.ndarray) -> np.ndarr
 
 
 def _cptp_maps(sic_in: SicPovm, sic_out: SicPovm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``Theta`` over ``basis_sigma(d)``, ``project_cptp``'s forward map and its
-    adjoint, with the gradient's factor 2 folded in (exactly: on the float view)."""
+    """``Theta`` over ``basis_sigma(d)`` and ``project_cptp``'s real maps: ``F``
+    takes ``[vec Re P, vec Im P]`` to ``[vec S_model, vec Re T, vec Im T]``, with
+    ``S_model = (sum_ij P_ij Theta_ij).real`` and ``T = sum_ij P_ij sigma_j
+    sigma_i``, and ``U``, ``2 F^T`` then symmetrized, takes a weighted residual
+    ``r`` to ``[G_r + G_r^T | G_i^T - G_i]``, with ``[vec G_r, vec G_i] = 2 F r``."""
     n = sic_in.dim**2
     sig = _sigma_stack(sic_in.dim)
     theta = _theta_stack(sic_in, sic_out, sig)
     quad = np.einsum("iab,jbc->ijac", sig, sig)  # sigma_i sigma_j
     fold = np.concatenate([theta.reshape(n * n, -1), quad.swapaxes(0, 1).reshape(n * n, -1)], 1)
-    adjoint = [theta.transpose(2, 3, 0, 1), quad.transpose(3, 2, 1, 0)]
-    unfold = np.concatenate([a.reshape(-1, n * n) for a in adjoint])
-    return theta, fold, (2.0 * unfold.view(float)).view(complex)
+    fmap = np.block([[fold.real, fold[:, n * n :].imag], [-fold.imag, fold[:, n * n :].real]])
+    g_r, g_i = 2.0 * fmap.T.reshape(-1, 2, n, n).transpose(1, 0, 2, 3)
+    umap = np.concatenate([g_r + g_r.swapaxes(1, 2), g_i.swapaxes(1, 2) - g_i], 2)
+    return theta, fmap, umap.reshape(len(fmap.T), 2 * n * n)
 
 
 def _omega_stack(s: SicPovm, sig: np.ndarray, jump: np.ndarray) -> np.ndarray:
@@ -369,9 +373,24 @@ class _SicOps(NamedTuple):
     hunit: np.ndarray  # basis_hunit(s)
     amat: np.ndarray  # Omega as a real map: P.view(float) -> sum_ij P_ij Omega_ij
     solve: np.ndarray  # (A^T A + rho I)^-1, the linear solve of each ADMM step
-    theta: np.ndarray  # Theta over basis_sigma(d), then project_cptp's
-    fold: np.ndarray  # forward and adjoint maps: _cptp_maps(s, s)
-    unfold: np.ndarray
+    theta: np.ndarray  # Theta over basis_sigma(d), then project_cptp's real
+    fmap: np.ndarray  # forward and adjoint maps F and U: _cptp_maps(s, s)
+    umap: np.ndarray
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a positive definite matrix by Gauss-Jordan elimination without
+    pivoting, in elementwise NumPy: no BLAS call, so its bits do not depend on
+    the number of BLAS threads (``np.linalg.inv``'s do at d=3)."""
+    n = len(a)
+    aug = np.concatenate([a, np.eye(n)], 1)
+    for k in range(n):
+        band = aug[:, k : n + k + 1]  # row k is 0 outside it, so the rest stays
+        band[k] /= band[k, 0]
+        col = band[:, 0].copy()
+        col[k] = 0.0
+        band -= col[:, None] * band[k]
+    return aug[:, n:]
 
 
 @functools.lru_cache(maxsize=16)
@@ -386,7 +405,7 @@ def _sic_ops(s: SicPovm) -> _SicOps:
     flat = _omega_stack(s, sig, maps[0][:-1, :-1]).reshape(m * m, n * n).T
     # interleaved (Re P_ij, Im P_ij) columns: a complex P viewed as floats
     amat = np.stack([flat.real, -flat.imag], axis=-1).reshape(n * n, 2 * m * m)
-    solve = np.linalg.inv(amat.T @ amat + _ADMM_RHO * np.eye(2 * m * m))
+    solve = _inverse(amat.T @ amat + _ADMM_RHO * np.eye(2 * m * m))
     arrays = (_hunit_stack(s, sig), amat, solve, *maps)
     return _SicOps(sig, *map(_read_only, arrays))
 

@@ -6,11 +6,15 @@ agreement is evidence and not circular reasoning.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
-DATA = pathlib.Path(__file__).parent / "data"
+TESTS = pathlib.Path(__file__).resolve().parent
+DATA = TESTS / "data"
 S3 = np.sqrt(3.0)
 
 # Frame matrix of the reference qubit SIC and its exact inverse.
@@ -208,3 +212,15 @@ def qutrit_sic():
 
     with open(DATA / "fiducial_d3.json", encoding="utf-8") as fh:
         return from_fiducial(load_fiducial(json.load(fh)))
+
+
+def run_python(args: list[str], threads: str = "1") -> str:
+    """Standard output of ``python *args`` in a fresh interpreter, with the
+    library and this directory on its path and BLAS on ``threads`` threads."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]))
+    env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -13,6 +13,11 @@ and ``python3 tests/pipeline_cases.py --diff FIXTURE`` to list, as
 ``case/analysis/key`` followed by the largest absolute difference of its
 entries, each output that differs from a recorded file (exit status 1 if any
 does).
+
+``python3 tests/pipeline_cases.py --qutrit`` prints the outputs of one qutrit
+case instead: the SIC of ``tests/data/fiducial_d3.json``, ``OptConfig(restarts=8,
+seed=0)``. No file records them; run it with ``OPENBLAS_NUM_THREADS=1`` and
+``=2`` to see whether they depend on the number of BLAS threads.
 """
 
 import json
@@ -20,6 +25,7 @@ import sys
 
 import numpy as np
 
+from fixtures import qutrit_sic
 from sicprob._optim import OptConfig
 from sicprob.channels import kraus_to_pstoch
 from sicprob.sic import builtin_qubit
@@ -28,11 +34,15 @@ from sicprob.tomography import run_pipeline, simulate_counts
 SIC = builtin_qubit()
 
 
-def amplitude_damping(gamma):
-    return [
-        np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]], dtype=complex),
-        np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex),
-    ]
+def amplitude_damping(gamma, d=2):
+    """Each excited level decays to level 0 with probability ``gamma``."""
+    keep = np.diag([1.0] + [np.sqrt(1 - gamma)] * (d - 1)).astype(complex)
+    drops = []
+    for j in range(1, d):
+        drop = np.zeros((d, d), dtype=complex)
+        drop[0, j] = np.sqrt(gamma)
+        drops.append(drop)
+    return [keep, *drops]
 
 
 _RX = np.array([[np.cos(0.3), -1j * np.sin(0.3)], [-1j * np.sin(0.3), np.cos(0.3)]])
@@ -46,14 +56,19 @@ CASES = [
     (0.12, amplitude_damping(0.2), 79, 80),
 ]
 
+# a qutrit phase gate after a rotation of levels 0 and 1
+_RX3 = np.eye(3, dtype=complex)
+_RX3[:2, :2] = _RX
+QUTRIT_CASE = (0.08, [np.diag([1.0, np.exp(0.5j), np.exp(-0.4j)]) @ _RX3], 81, 82)
 
-def outputs(gamma, process, seed_cal, seed_main) -> dict:
+
+def outputs(gamma, process, seed_cal, seed_main, sic=SIC, restarts=2) -> dict:
     """``run_pipeline`` on 1024-shot counts of a damped chain, as JSON values."""
-    s_dec = kraus_to_pstoch(amplitude_damping(gamma), SIC, SIC)
-    s_proc = kraus_to_pstoch(process, SIC, SIC)
-    counts_cal = simulate_counts(s_dec, SIC, shots=1024, seed=seed_cal)
-    counts_main = simulate_counts(s_dec @ s_proc, SIC, shots=1024, seed=seed_main)
-    rep = run_pipeline(counts_main, counts_cal, SIC, OptConfig(restarts=2, seed=0))
+    s_dec = kraus_to_pstoch(amplitude_damping(gamma, sic.dim), sic, sic)
+    s_proc = kraus_to_pstoch(process, sic, sic)
+    counts_cal = simulate_counts(s_dec, sic, shots=1024, seed=seed_cal)
+    counts_main = simulate_counts(s_dec @ s_proc, sic, shots=1024, seed=seed_main)
+    rep = run_pipeline(counts_main, counts_cal, sic, OptConfig(restarts=restarts, seed=0))
     out = {
         "cal_s_cptp": rep.cal.s_cptp.tolist(),
         "main_s_cptp": rep.main.s_cptp.tolist(),
@@ -98,6 +113,9 @@ def differences(got: dict, recorded: dict) -> list[str]:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--qutrit"]:
+        print(json.dumps(outputs(*QUTRIT_CASE, sic=qutrit_sic(), restarts=8), indent=1))
+        sys.exit(0)
     result = {"cases": [outputs(*case) for case in CASES]}
     if sys.argv[1:2] == ["--diff"]:
         with open(sys.argv[2], encoding="utf-8") as fh:

@@ -23,6 +23,14 @@ digits of the sha256 of the bytes of ``project_cptp`` of the raw qutrit
 matrix of ``tests/data/project_cptp_tomo_d3_seed3_item0.json`` at
 ``OptConfig(restarts=8)``. Run it with ``OPENBLAS_NUM_THREADS=1`` and ``=2``
 to see whether those bytes depend on the number of BLAS threads.
+
+``python3 tests/projection_cases.py --distances`` prints, one line per input,
+the name and ``|project_cptp(s) - s|_F`` (or ``raises``) of a fixed set of
+seeded noisy channel matrices, 300 qubit and 50 qutrit ones, at
+``OptConfig(restarts=2)``. With ``--compare FILE``, the output of an earlier
+run, it also lists each input whose distance is more than 1e-8 above FILE's
+or that raises where it projected in FILE, and exits with status 1 if any
+does. A projection that changes its solver must not make a distance worse.
 """
 
 import hashlib
@@ -31,10 +39,11 @@ import sys
 
 import numpy as np
 
-from fixtures import DATA, qutrit_sic
+from fixtures import DATA, qutrit_sic, random_kraus_channel
 from pipeline_cases import differences
 from sicprob._optim import OptConfig
-from sicprob.channels import project_cptp
+from sicprob.channels import kraus_to_pstoch, project_cptp
+from sicprob.errors import OptimizerError
 from sicprob.sic import builtin_qubit
 
 FIXTURE = DATA / "project_cptp_restarts2.json"
@@ -60,9 +69,49 @@ def qutrit_digest() -> str:
     return hashlib.sha256(out.tobytes()).hexdigest()[:16]
 
 
+def distances() -> dict[str, float | None]:
+    """``|project_cptp(s) - s|_F`` of each seeded noisy channel matrix ``s``,
+    by name, None where the projection raises."""
+    out = {}
+    for sic, count in ((SIC, 300), (qutrit_sic(), 50)):
+        d = sic.dim
+        for k in range(count):
+            rng = np.random.default_rng([d, k])
+            s = kraus_to_pstoch(random_kraus_channel(rng, d, 2), sic, sic)
+            s += 0.03 * rng.standard_normal(s.shape)
+            try:
+                s_cptp = project_cptp(s, sic, sic, OptConfig(restarts=2))
+                out[f"d{d}/{k}"] = float(np.linalg.norm(s_cptp - s))
+            except OptimizerError:
+                out[f"d{d}/{k}"] = None
+    return out
+
+
+def worse(new: dict, old: dict) -> list[str]:
+    """The inputs whose distance is more than 1e-8 above ``old``'s, or that
+    raise in ``new`` where they projected in ``old``."""
+    out = []
+    for name, was in old.items():
+        now = new[name]
+        if was is not None and (now is None or now > was + 1e-8):
+            out.append(f"{name}  {was!r} -> {'raises' if now is None else repr(now)}")
+    return out
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--qutrit-digest"]:
         print(qutrit_digest())
+        sys.exit(0)
+    if sys.argv[1:2] == ["--distances"]:
+        dist = distances()
+        print("\n".join(f"{name} {'raises' if v is None else repr(v)}" for name, v in dist.items()))
+        if sys.argv[2:3] == ["--compare"]:
+            with open(sys.argv[3], encoding="utf-8") as fh:
+                rows = [line.split() for line in fh if line.strip()]
+            bad = worse(dist, {name: None if v == "raises" else float(v) for name, v in rows})
+            if bad:
+                print("\n".join(bad), file=sys.stderr)
+                sys.exit(1)
         sys.exit(0)
     with open(FIXTURE, encoding="utf-8") as fh:
         inputs = json.load(fh)["cases"]

@@ -36,6 +36,7 @@ from fixtures import (
     random_hermitian,
     random_unitary,
     rotation_z_closed_form,
+    run_python,
 )
 
 SIC = builtin_qubit()
@@ -539,6 +540,33 @@ def test_project_mark_converges_far_from_the_cone():
         assert resid > 1e-3 * np.sqrt(norm2)
         # a projection onto a cone leaves a residual orthogonal to its image
         assert abs(float(np.sum((dtilde - dproj) * dproj))) <= 1e-9 * norm2
+
+
+# project_mark of 20 seeded noisy qutrit GKSL generators, as the hex digest of
+# the bytes of every projection and residual
+QUTRIT_MARK_DIGEST = """
+import hashlib
+import numpy as np
+from fixtures import qutrit_sic, random_hermitian
+from sicprob.dynamics import GkslSpec, lgen_from_gksl, project_mark
+
+sic, digest = qutrit_sic(), hashlib.sha256()
+for seed in range(20):
+    rng = np.random.default_rng(700 + seed)
+    v = 0.4 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    gen = lgen_from_gksl(GkslSpec(3, random_hermitian(rng, 3), (v,)), sic).matrix
+    dproj, resid = project_mark(gen + 0.05 * rng.standard_normal(gen.shape), sic)
+    digest.update(dproj.tobytes() + np.float64(resid).tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.bits
+def test_qutrit_project_mark_bytes_do_not_depend_on_blas_threads():
+    # the cached ADMM solve is inverted without BLAS, so its bits and those
+    # of every projection are the same with one BLAS thread and with two
+    one, two = (run_python(["-c", QUTRIT_MARK_DIGEST], threads) for threads in "12")
+    assert one == two
 
 
 def test_cached_operator_arrays_are_read_only():

@@ -1,9 +1,5 @@
 import json
-import os
-import pathlib
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -27,7 +23,7 @@ from sicprob.tomography import (
     simulate_counts,
 )
 
-from fixtures import DATA, H3_QUBIT, S_GATE_QUBIT, random_kraus_channel
+from fixtures import DATA, H3_QUBIT, S_GATE_QUBIT, TESTS, random_kraus_channel, run_python
 
 SIC = builtin_qubit()
 
@@ -315,15 +311,7 @@ def test_run_pipeline_matches_recorded_outputs():
     # arrays and of the calibrated product, the generator logarithms and
     # the frame searches. The cases run in a fresh interpreter with BLAS on
     # one thread (see pipeline_cases.py).
-    tests = pathlib.Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, str(tests / "pipeline_cases.py")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )  # fmt: skip
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)["cases"]
+    got = json.loads(run_python([str(TESTS / "pipeline_cases.py")]))["cases"]
     with open(DATA / "run_pipeline_restarts2.json", encoding="utf-8") as fh:
         cases = json.load(fh)["cases"]
     assert len(got) == len(cases) == 4
@@ -343,23 +331,21 @@ def test_run_pipeline_frames_do_not_depend_on_blas_threads():
     # the projections and the frame search take the same steps with one
     # BLAS thread and with two; JSON floats round-trip, so equal lists are
     # equal bytes
-    tests = pathlib.Path(__file__).resolve().parent
-    runs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
-        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, str(tests / "pipeline_cases.py")],
-            env=env, capture_output=True, text=True, timeout=300,
-        )  # fmt: skip
-        assert proc.returncode == 0, proc.stderr
-        runs.append(json.loads(proc.stdout)["cases"])
+    runs = [json.loads(run_python([str(TESTS / "pipeline_cases.py")], t))["cases"] for t in "12"]
     for one, two in zip(*runs, strict=True):
         for key in ("cal_s_cptp", "main_s_cptp", "s_u"):
             assert one[key] == two[key]
         for name in ("analysis_u", "analysis_cal"):
             assert one[name]["lam"] == two[name]["lam"]
             assert one[name]["quant_value"] == two[name]["quant_value"]
+
+
+@pytest.mark.bits
+def test_qutrit_run_pipeline_does_not_depend_on_blas_threads():
+    # every output of one run_pipeline on simulated qutrit counts, restarts 8,
+    # is the same with one BLAS thread and with two
+    one, two = (run_python([str(TESTS / "pipeline_cases.py"), "--qutrit"], t) for t in "12")
+    assert json.loads(one) == json.loads(two)
 
 
 def test_run_pipeline_rejects_mismatched_counts():
