@@ -60,7 +60,7 @@ _CURVATURE_FLOOR = 1e-8
 _AGREE_TOL = 1e-3
 
 
-def _frame_rotations(lam: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _frame_rotations(lam: np.ndarray, basis: np.ndarray, cuts=()) -> np.ndarray:
     """Rotations ``exp(sum_i lam[k, i] H_i)`` for a stack of parameter rows.
 
     Every generator ``B`` of the stack is real antisymmetric with zero
@@ -69,17 +69,25 @@ def _frame_rotations(lam: np.ndarray, basis: np.ndarray) -> np.ndarray:
     formula is exact. Larger frames use ``mat_exp``'s Taylor series with
     scaling and squaring in real arithmetic, batched over the stack. A
     batched ``eigh`` of ``i B`` does the same job about three times slower
-    on 9 x 9 frames.
+    on 9 x 9 frames. The runs of rows between ``cuts`` get the bits they
+    get alone: the product with the basis is a GEMV for one row, and the
+    series scales its stack as one.
     """
     nlam, n, _ = basis.shape
-    gen = (lam @ basis.reshape(nlam, n * n)).reshape(-1, n, n)
+    flat = basis.reshape(nlam, n * n)
+    gen = np.concatenate([part @ flat for part in np.split(lam, cuts)]).reshape(-1, n, n)
     if n == 4:
         # theta = 0 only with gen = 0, so clipping it just avoids 0 / 0
         theta = np.maximum(np.sqrt(0.5 * np.einsum("kab,kab->k", gen, gen)), 1e-300)
         sinc = (np.sin(theta) / theta)[:, None, None]
         half_sinc = (np.sin(0.5 * theta) / (0.5 * theta))[:, None, None]
         return np.eye(n) + sinc * gen + 0.5 * half_sinc**2 * (gen @ gen)
-    return _taylor_exp(gen)
+    return np.concatenate([_taylor_exp(part) for part in np.split(gen, cuts)])
+
+
+def _cuts(owner: np.ndarray) -> np.ndarray:
+    """Where the runs of equal entries of the sorted ``owner`` start, the first left out."""
+    return np.flatnonzero(owner[1:] != owner[:-1]) + 1
 
 
 def _off_diagonals(m: np.ndarray) -> np.ndarray:
@@ -89,8 +97,9 @@ def _off_diagonals(m: np.ndarray) -> np.ndarray:
 
 def _conjugate(lmat: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``U L U^T`` for a stack of rotations: every frame the search scores.
-    ``U L`` is one GEMM over the stacked rows."""
-    ul = (u.reshape(-1, u.shape[-1]) @ lmat).reshape(u.shape)
+    ``U L`` is one GEMM over the stacked rows, or one for each rotation
+    when ``lmat`` stacks an ``L`` for each."""
+    ul = (u.reshape(*lmat.shape[:-2], -1, u.shape[-1]) @ lmat).reshape(u.shape)
     return ul @ u.transpose(0, 2, 1)
 
 
@@ -187,7 +196,7 @@ def _spread_starts(lam: np.ndarray, neg: np.ndarray, count: int) -> np.ndarray:
     return np.array(picked + rest[: count - len(picked)])
 
 
-def _refine(lmat: np.ndarray, basis: np.ndarray, u: np.ndarray):
+def _refine(lmats: np.ndarray, basis: np.ndarray, u: np.ndarray, owner: np.ndarray):
     """Newton on the minimax KKT system, every start a lane of one loop.
 
     Each lane keeps its rotation ``U`` and works in local coordinates
@@ -205,12 +214,14 @@ def _refine(lmat: np.ndarray, basis: np.ndarray, u: np.ndarray):
     model promises no decrease, after a full step that promised almost
     none, at a classical frame, or when backtracking fails. Only steps that
     lower the largest entry are taken, so no lane ends above its start.
-    Returns each lane's final negativity and the number of frames scored;
+    Lane ``k`` refines a frame of ``lmats[owner[k]]``, with the bits it gets
+    alone. Returns each lane's final negativity and the frames it scored;
     ``u`` is updated in place, to each lane's final rotation.
     """
-    nlam, off = len(basis), _off_diagonal_index(len(lmat))
-    m = _conjugate(lmat, u)
-    evaluations = len(u)
+    nlam, n = len(basis), u.shape[-1]
+    off = _off_diagonal_index(n)
+    m = _conjugate(lmats[owner], u)
+    scored = np.ones(len(u), dtype=int)
     f = -_off_diagonals(m)
     fmax = f.max(axis=1)
     # the first guess at each active set: the nlam + 1 largest entries,
@@ -228,14 +239,14 @@ def _refine(lmat: np.ndarray, basis: np.ndarray, u: np.ndarray):
         grad = -comm.reshape(lanes.size, nlam, -1)[:, :, off].transpose(0, 2, 1)
         # sum_a mu_a d^2 f_a / d delta_i d delta_j, as <[H_i, mu], [H_j, M]>
         # symmetrized (H_i is antisymmetric)
-        weights = np.zeros((lanes.size, off.size + len(lmat)))
+        weights = np.zeros((lanes.size, off.size + n))
         weights[:, off] = mu[lanes]
         weights = weights.reshape(here.shape)
         hess = np.einsum("kiab,kjab->kij", basis @ weights - weights @ basis, comm)
         inverse = _model_inverse(0.5 * (hess + hess.transpose(0, 2, 1)), grad, mu[lanes])
         reach = inverse @ grad.transpose(0, 2, 1)
         step, t_step, mu[lanes], active[lanes] = _model_step(
-            reach, grad @ reach, f[lanes], fmax[lanes], active[lanes]
+            reach, grad @ reach, f[lanes], fmax[lanes], active[lanes], _cuts(owner[lanes])
         )
         gain = fmax[lanes] - t_step
         live = gain > _CONVERGED
@@ -243,9 +254,9 @@ def _refine(lmat: np.ndarray, basis: np.ndarray, u: np.ndarray):
         lanes, step, gain = lanes[live], step[live], gain[live]
         alpha = 1.0
         while lanes.size:
-            u_try = _frame_rotations(alpha * step, basis) @ u[lanes]
-            m_try = _conjugate(lmat, u_try)
-            evaluations += lanes.size
+            u_try = _frame_rotations(alpha * step, basis, _cuts(owner[lanes])) @ u[lanes]
+            m_try = _conjugate(lmats[owner[lanes]], u_try)
+            scored[lanes] += 1
             f_try = -_off_diagonals(m_try)
             fmax_try = f_try.max(axis=1)
             accept = fmax_try <= fmax[lanes] - _ARMIJO * alpha * gain
@@ -265,7 +276,7 @@ def _refine(lmat: np.ndarray, basis: np.ndarray, u: np.ndarray):
                 break
             lanes, step, gain = lanes[keep], step[keep], gain[keep]
             alpha *= 0.5
-    return np.maximum(fmax, 0.0), evaluations
+    return np.maximum(fmax, 0.0), scored
 
 
 def _model_inverse(hess, grad, mu):
@@ -291,7 +302,7 @@ def _model_inverse(hess, grad, mu):
     return (vec / curv[:, None, :]) @ vec.transpose(0, 2, 1)
 
 
-def _model_step(reach, gram, f, fmax, active):
+def _model_step(reach, gram, f, fmax, active, cuts):
     """Each lane's solution of its model problem, by active sets.
 
     ``reach`` is ``B^-1 G^T`` and ``gram`` is ``G B^-1 G^T`` over the
@@ -309,7 +320,7 @@ def _model_step(reach, gram, f, fmax, active):
     """
     lanes = len(f)
     every = np.arange(lanes)
-    step, t, mult = _equality_step(reach, gram, f, active)
+    step, t, mult = _equality_step(reach, gram, f, active, cuts)
     lin = -_mv(gram, mult)  # G delta
     # lanes whose first guess fits start at its equality solution,
     # multipliers known
@@ -325,7 +336,7 @@ def _model_step(reach, gram, f, fmax, active):
             break
         drop = at_target & pending
         work[drop, worst[drop]] = False
-        target, target_t, target_mult = _equality_step(reach, gram, f, work)
+        target, target_t, target_mult = _equality_step(reach, gram, f, work, cuts)
         target_lin = -_mv(gram, target_mult)
         slope = target_lin - lin - (target_t - t)[:, None]
         blocks = ~work & (slope > 0.0)
@@ -344,7 +355,7 @@ def _model_step(reach, gram, f, fmax, active):
     return step, t, mult / mult.sum(axis=1, keepdims=True), work
 
 
-def _equality_step(reach, gram, f, work):
+def _equality_step(reach, gram, f, work, cuts):
     """``delta``, ``t`` and multipliers of each lane's equality problem.
 
     ``min t + delta^T B delta / 2`` subject to ``f_a + grad f_a . delta = t``
@@ -354,8 +365,10 @@ def _equality_step(reach, gram, f, work):
     with rows that fix their multipliers at zero. Multipliers come back
     for every entry, zero off the active set.
     """
-    lanes = len(f)
-    width = int(work.sum(axis=1).max())
+    lanes, counts = len(f), work.sum(axis=1)
+    width = int(counts.max())
+    if len(cuts) and np.maximum.reduceat(counts, [0, *cuts]).min() < width:
+        return _apart(reach, gram, f, work, cuts)
     idx = np.argsort(~work, axis=1, kind="stable")[:, :width]
     rows = np.arange(lanes)[:, None]
     valid = work[rows, idx]
@@ -373,10 +386,20 @@ def _equality_step(reach, gram, f, work):
         # two active entries with equal values and gradients, which
         # symmetric generators can have: the least-norm solution splits
         # their multiplier
+        if len(cuts):
+            return _apart(reach, gram, f, work, cuts)
         sol = _mv(np.linalg.pinv(system), rhs)
     mult = np.zeros(f.shape)
     mult[rows, idx] = np.where(valid, sol[:, :width], 0.0)
     return -_mv(reach, mult), sol[:, width], mult
+
+
+def _apart(reach, gram, f, work, cuts):
+    """``_equality_step`` of each run of lanes on its own, stacked: a lane's
+    bits depend on the width its system is padded to, and on whether a
+    lane that shares its call falls back to ``pinv``."""
+    parts = zip(*(np.split(a, cuts) for a in (reach, gram, f, work)))
+    return tuple(map(np.concatenate, zip(*(_equality_step(*p, ()) for p in parts))))
 
 
 def _largest(f: np.ndarray) -> np.ndarray:
@@ -421,8 +444,9 @@ def _frame_lam(rotation: np.ndarray, s: SicPovm) -> np.ndarray:
     return lam[np.argmin(np.einsum("ki,ki->k", lam, lam))]
 
 
-def search(lmat: np.ndarray, s: SicPovm, opt: OptConfig) -> tuple[float, np.ndarray, int, int]:
-    """``(value, lam, agreeing, evaluations)`` of the best frame.
+def search(lmats: np.ndarray, s: SicPovm, opt: OptConfig) -> list[tuple]:
+    """``(value, lam, agreeing, evaluations)`` of the best frame of each
+    generator of the stack ``lmats``, each with the bits of a search of its own.
 
     ``agreeing`` counts the refined starts that end within ``_AGREE_TOL``
     of the best value; ``evaluations`` counts every frame scored.
@@ -430,11 +454,16 @@ def search(lmat: np.ndarray, s: SicPovm, opt: OptConfig) -> tuple[float, np.ndar
     basis = _sic_ops(s).hunit
     refine = max(opt.restarts, _MIN_REFINED, 2 * len(basis))
     lam, u = _screen(s, opt.seed)
-    neg = _negativities(_conjugate(lmat, u))
-    lam, u, neg, descended = _descend(lmat, basis, lam, u, neg, refine)
-    lanes = u[_spread_starts(lam, neg, refine)]
-    neg_end, refined = _refine(lmat, basis, lanes)
-    best = int(np.argmin(neg_end))
-    agreeing = int(np.count_nonzero(neg_end <= neg_end[best] + _AGREE_TOL))
-    lam_best = _frame_lam(lanes[best], s)
-    return float(neg_end[best]), lam_best, agreeing, _SCREEN_SIZE + descended + refined
+    # each generator screened and descended on its own: that work is
+    # compute-bound, so a batch of it would save no time and hold more memory
+    walks = [_descend(m, basis, lam, u, _negativities(_conjugate(m, u)), refine) for m in lmats]
+    starts = [w_u[_spread_starts(w_lam, w_neg, refine)] for w_lam, w_u, w_neg, _ in walks]
+    lanes = np.concatenate(starts)
+    refined = _refine(lmats, basis, lanes, np.repeat(np.arange(len(lmats)), refine))
+    ends, scored = (a.reshape(len(lmats), refine) for a in refined)
+    best = ends.argmin(axis=1)
+    return [
+        (float(e[b]), _frame_lam(rot[b], s), int(np.count_nonzero(e <= e[b] + _AGREE_TOL)),
+         _SCREEN_SIZE + walk[3] + int(c.sum()))
+        for e, b, rot, c, walk in zip(ends, best, np.split(lanes, len(lmats)), scored, walks)
+    ]  # fmt: skip

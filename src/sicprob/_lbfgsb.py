@@ -45,6 +45,8 @@ def lbfgsb_lanes(fun_grad_many, x0, mus, max_iter, gtol, ftol):
     ``fun_grad_many(X, mu, lanes) -> (f, G)`` evaluates the rows of ``X``
     ``(k, n)`` for the lanes ``lanes`` (indices into ``x0``) at the stage
     parameters ``mu`` ``(k,)``, giving ``f`` ``(k,)`` and ``G`` ``(k, n)``.
+    It may not write ``X``, ``mu`` or ``lanes``: when every lane asks they
+    are read-only views of the driver's own arrays.
     Each stage starts afresh from the ``x`` the lane's previous stage ended
     at, and lane ``i`` equals ``minimize(fun_i, x, (mu,), jac=True,
     method="L-BFGS-B", options={"maxiter": max_iter, "gtol": gtol, "ftol":
@@ -62,15 +64,18 @@ def lbfgsb_lanes(fun_grad_many, x0, mus, max_iter, gtol, ftol):
     mu = np.full(k, mus[0])  # lane i's stage parameter
     stage, nit, nfev = [0] * k, [0] * k, [0] * k
     args = [_stage(x[i], f[i, ...], g[i], bounds, factr, gtol) for i in range(k)]
+    tasks = [memoryview(a[11]) for a in args]  # read without NumPy's scalar indexing
+    views = x.view(), mu.view(), np.arange(k)  # the kernel's arguments when every lane asks
+    for view in views:
+        view.flags.writeable = False
     done: list[tuple | None] = [None] * k
     asking = list(range(k))  # a lane that did not ask last round is done
     while True:
         visit, asking = asking, []
         for i in visit:
-            a = args[i]
+            a, task = args[i], tasks[i]
             while True:
                 setulb(*a)
-                task = a[11]
                 if task[0] == 3:  # FG: evaluate at x
                     asking.append(i)
                     nfev[i] += 1
@@ -78,17 +83,21 @@ def lbfgsb_lanes(fun_grad_many, x0, mus, max_iter, gtol, ftol):
                 if task[0] == 1:  # NEW_X: an iteration is done
                     nit[i] += 1
                     if nit[i] >= max_iter:
-                        task[:] = 5, 504
+                        a[11][:] = 5, 504
                     elif nfev[i] > _MAXFUN:
-                        task[:] = 5, 502
+                        a[11][:] = 5, 502
                 elif stage[i] + 1 < len(mus):
                     stage[i] += 1
                     mu[i], nit[i], nfev[i] = mus[stage[i]], 0, 0
                     args[i] = a = _stage(x[i], f[i, ...], g[i], bounds, factr, gtol)
+                    tasks[i] = task = memoryview(a[11])
                 else:
                     done[i] = (x[i], f[i], g[i], nit[i], bool(task[0] == 4))
                     break
         if not asking:
             return done
-        idx = np.array(asking)
-        f[idx], g[idx] = fun_grad_many(x.take(idx, 0), mu[idx], idx)
+        if len(asking) == k:
+            f[:], g[:] = fun_grad_many(*views)
+        else:
+            idx = np.array(asking)
+            f[idx], g[idx] = fun_grad_many(x.take(idx, 0), mu[idx], idx)

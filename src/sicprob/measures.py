@@ -130,22 +130,25 @@ def delta_quant_detail(
     non-finite entries.
     """
     _require_sic(s=s)
-    lmat = as_matrix(g)
+    return _quant_reports([g], s, opt)[0]
+
+
+def _quant_reports(gens, s: SicPovm, opt: OptConfig | None) -> list[DeltaQuantReport]:
+    """``delta_quant_detail`` of each generator, checked in turn, by one search."""
     n = s.dim * s.dim
-    if lmat.shape != (n, n):
-        raise ValueError(
-            f"generator and SIC shapes do not match: {lmat.shape} against ({n}, {n})"
-        )
-    _require_finite(lmat, "generator")
-    opt = opt or OptConfig(restarts=32)
+    lmats = [as_matrix(g) for g in gens]
+    for lmat in lmats:
+        if lmat.shape != (n, n):
+            raise ValueError(
+                f"generator and SIC shapes do not match: {lmat.shape} against ({n}, {n})"
+            )
+        _require_finite(lmat, "generator")
     # imported here, not at the top, so that the module is compiled only
     # when a search runs and `import sicprob` stays cheap
     from ._framesearch import search
 
-    value, lam, agreeing, evaluations = search(lmat, s, opt)
-    return DeltaQuantReport(
-        value=value, lam=lam, restarts_agreeing=agreeing, evaluations=evaluations
-    )
+    rows = search(np.array(lmats), s, opt or OptConfig(restarts=32))
+    return [DeltaQuantReport(*row) for row in rows]
 
 
 def delta_quant(g: Generator | np.ndarray, s: SicPovm, opt: OptConfig | None = None) -> float:
@@ -232,16 +235,19 @@ def analyze_evolution(
     ``h_part + dissipative fit``: that is the physical generator nearest
     the data, and for an exactly Markovian matrix it equals the log.
     """
-    s_matrix = np.asarray(s_matrix, dtype=float)
-    lmat, exp_log, h_part, d_proj, residual, s_mark = _markov_parts(s_matrix, s)
-    return EvolutionAnalysis(
-        log=lmat,
-        h_part=h_part,
-        d_part=lmat - h_part,
-        quant=delta_quant_detail(h_part + d_proj, s, opt),
-        mark=_markov_report(s_matrix, exp_log, s_mark),
-        markov_residual=residual,
-    )
+    return _analyze_many((s_matrix,), s, opt)[0]
+
+
+def _analyze_many(mats, s: SicPovm, opt: OptConfig | None) -> list[EvolutionAnalysis]:
+    """``[analyze_evolution(m, s, opt) for m in mats]`` bit for bit, with one
+    frame search for all the fitted generators."""
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    parts = [_markov_parts(m, s) for m in mats]
+    quants = _quant_reports([h_part + d_proj for _, _, h_part, d_proj, _, _ in parts], s, opt)
+    return [  # log, h_part, d_part, quant, mark, markov_residual
+        EvolutionAnalysis(lmat, h_part, lmat - h_part, quant, _markov_report(m, e, s_mark), resid)
+        for m, (lmat, e, h_part, _, resid, s_mark), quant in zip(mats, parts, quants)
+    ]
 
 
 @dataclass(frozen=True)
@@ -263,7 +269,8 @@ def experiment_compose(e: ExperimentScheme) -> np.ndarray:
 
     ``Q`` is column stochastic for physical components; tiny negative
     entries found in ingested noisy data trigger a warning, not an error.
-    Raises ValueError for mismatched shapes or non-finite entries.
+    Raises ValueError for a channel or measurement map that is not a
+    matrix, mismatched shapes or non-finite entries.
     """
     q = np.asarray(e.prep, dtype=float)
     _require_finite(q, "preparation")
@@ -272,6 +279,8 @@ def experiment_compose(e: ExperimentScheme) -> np.ndarray:
         raise ValueError(f"preparation columns must sum to 1 (dev {col_dev:.3e})")
     for k, ch in enumerate(e.channels):
         ch = np.asarray(ch, dtype=float)
+        if ch.ndim != 2:
+            raise ValueError(f"channel {k} must be a matrix, got shape {ch.shape}")
         if ch.shape[1] != q.shape[0]:
             raise ValueError(
                 f"channel {k} input dimension {ch.shape[1]} does not match chain {q.shape[0]}"
@@ -279,6 +288,8 @@ def experiment_compose(e: ExperimentScheme) -> np.ndarray:
         _require_finite(ch, f"channel {k}")
         q = ch @ q
     bigm = np.asarray(e.meas.bigm, dtype=float)
+    if bigm.ndim != 2:
+        raise ValueError(f"measurement map must be a matrix, got shape {bigm.shape}")
     if bigm.shape[1] != q.shape[0]:
         raise ValueError(
             f"measurement input dimension {bigm.shape[1]} does not match chain {q.shape[0]}"

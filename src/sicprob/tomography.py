@@ -19,7 +19,7 @@ from ._optim import OptConfig
 from .channels import _project_cptp_many, project_cptp
 from .errors import NumericalDomainError, _require_finite, _require_int
 from .linalg import frobenius_dist
-from .measures import EvolutionAnalysis, analyze_evolution
+from .measures import EvolutionAnalysis, _analyze_many
 from .sic import SicPovm, fingerprint
 
 __all__ = [
@@ -235,7 +235,8 @@ def run_pipeline(
     ``cal.s_cptp``/``main.s_cptp`` and as the factors of ``s_u``. So the
     pipeline makes three projections, each certified by ``project_cptp``'s
     CPTP check, and its results are exactly those of
-    ``calibrate(raw_cal, raw_main)``.
+    ``calibrate(raw_cal, raw_main)``. Both matrices are then analysed as
+    ``analyze_evolution`` analyses each, with one frame search for the two.
     """
     if counts_main.dim != counts_cal.dim:
         raise ValueError(
@@ -254,8 +255,7 @@ def run_pipeline(
     meta = {"seed": (opt or OptConfig()).seed, "sic": fingerprint(s)}
     cal_report = _reconstruction(raw_cal, s_dec, delta, meta)
     main_report = _reconstruction(raw_main, s_decu, delta, meta)
-    analysis_u = analyze_evolution(s_u, s, opt)
-    analysis_cal = analyze_evolution(s_dec, s, opt)
+    analysis_u, analysis_cal = _analyze_many((s_u, s_dec), s, opt)
     return PipelineReport(
         cal=cal_report,
         main=main_report,

@@ -10,14 +10,19 @@ workload does: ``run_pipeline`` at restarts 2, with BLAS on one thread.
 Every item is checked by ``workloads.check_tomo`` and against its record by
 ``workloads.check_reference``. Prints one line per seed: the items that
 passed, the largest share of its tolerance that a scored value uses
-(``(value - record) / tolerance``; a check fails above 1), and the sha256 of
+(``(value - record) / tolerance``; a check fails above 1), the sha256 of
 the bytes of every item's ``cal.s_cptp``, ``main.s_cptp`` and ``s_u``, in
-that order. A speed-up that must keep every bit keeps those digests. Exit
-status 1 if any item fails. Reads the benchmark's files and writes none.
+that order, and the sha256 of both analyses' outputs, ``analysis_u`` then
+``analysis_cal``: ``log``, ``h_part``, ``d_part``, ``quant.value``,
+``quant.lam``, ``restarts_agreeing``, ``evaluations``, ``mark.s_mark`` and
+``markov_residual``. A speed-up that must keep every bit keeps both
+digests. Exit status 1 if any item fails. Reads the benchmark's files and
+writes none.
 """
 
 import hashlib
 import json
+import struct
 import sys
 from pathlib import Path
 
@@ -31,15 +36,26 @@ from record_reference import DIGEST_ITEMS, input_digest  # noqa: E402
 WORKLOAD = "tomo_d2_r2"
 
 
-def replay_seed(runner, proj: dict, seed: int, inputs_sha: str) -> tuple[int, int, float, str]:
-    """``(passed, items, worst tolerance use, output digest)`` of one seed."""
+def analysis_bytes(an) -> bytes:
+    """The bytes of every output of one ``EvolutionAnalysis``."""
+    q = an.quant
+    return b"".join([
+        an.log.tobytes(), an.h_part.tobytes(), an.d_part.tobytes(), struct.pack("<d", q.value),
+        q.lam.tobytes(), struct.pack("<qq", q.restarts_agreeing, q.evaluations),
+        an.mark.s_mark.tobytes(), struct.pack("<d", an.markov_residual),
+    ])  # fmt: skip
+
+
+def replay_seed(runner, proj: dict, seed: int, inputs_sha: str) -> tuple[int, int, float, str, str]:
+    """``(passed, items, worst tolerance use, projection digest, analysis
+    digest)`` of one seed."""
     items = run.Items(WORKLOAD, seed, proj)
     if input_digest(items, DIGEST_ITEMS) != inputs_sha:
         print(f"seed {seed}: inputs differ from the recorded ones", file=sys.stderr)
-        return 0, 0, float("nan"), ""
+        return 0, 0, float("nan"), "", ""
     run_item, check_item = runner.item_fns(WORKLOAD)
     records = run.load_reference(WORKLOAD, seed)
-    digest = hashlib.sha256()
+    digest, analyses = hashlib.sha256(), hashlib.sha256()
     passed, worst = 0, float("-inf")
     for k, record in enumerate(records):
         text = items[k]
@@ -54,11 +70,13 @@ def replay_seed(runner, proj: dict, seed: int, inputs_sha: str) -> tuple[int, in
         rep = result[0]
         for m in (rep.cal.s_cptp, rep.main.s_cptp, rep.s_u):
             digest.update(m.tobytes())
+        for an in (rep.analysis_u, rep.analysis_cal):
+            analyses.update(analysis_bytes(an))
         for key, ref in record.items():
             if key != "error":
                 tol = workloads.REFERENCE_ABS_TOL + workloads.REFERENCE_REL_TOL * abs(ref)
                 worst = max(worst, (values[key] - ref) / tol)
-    return passed, len(records), worst, digest.hexdigest()
+    return passed, len(records), worst, digest.hexdigest(), analyses.hexdigest()
 
 
 def main() -> int:
@@ -70,9 +88,12 @@ def main() -> int:
     failed = 0
     for seed in recorded["seeds"]:
         inputs_sha = recorded["input_sha256"][WORKLOAD][str(seed)]
-        passed, total, worst, sha = replay_seed(runner, proj, seed, inputs_sha)
+        passed, total, worst, sha, analysis_sha = replay_seed(runner, proj, seed, inputs_sha)
         failed += total - passed if total else 1
-        print(f"seed {seed:2d}: {passed}/{total} passed, worst {worst:+.3f} of tolerance, {sha}")
+        print(
+            f"seed {seed:2d}: {passed}/{total} passed, worst {worst:+.3f} of tolerance, "
+            f"{sha}, analyses {analysis_sha}"
+        )
     print(f"{'all items passed' if not failed else f'{failed} failed'}")
     return 1 if failed else 0
 

@@ -115,6 +115,18 @@ def test_kraus_requires_trace_preservation():
         kraus_to_pstoch([np.diag([0.5, 0.5]).astype(complex)], SIC, SIC)
 
 
+@pytest.mark.parametrize("excess, raises", [(2e-9, True), (5e-10, False)])
+def test_kraus_trace_preservation_tolerance_is_1e_9(excess, raises):
+    # sum A^H A = (1 + excess) I: just past the 1e-9 tolerance the set is
+    # rejected, just inside it converts
+    kraus = [np.sqrt(1.0 + excess) * np.eye(2, dtype=complex)]
+    if raises:
+        with pytest.raises(PhysicalityError, match="not trace preserving"):
+            kraus_to_pstoch(kraus, SIC, SIC)
+    else:
+        assert np.abs(kraus_to_pstoch(kraus, SIC, SIC) - np.eye(4)).max() < 1e-8
+
+
 def test_kraus_rejects_malformed_sets():
     with pytest.raises(ValueError, match="empty"):
         kraus_to_pstoch([], SIC, SIC)

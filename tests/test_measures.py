@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -16,9 +17,12 @@ from sicprob.dynamics import (
     hgen_from_hamiltonian,
     lgen_from_gksl,
 )
+from sicprob.errors import LogBranchError
 from sicprob.linalg import frobenius_dist, mat_exp
 from sicprob.measures import (
+    DeltaQuantReport,
     ExperimentScheme,
+    _analyze_many,
     analyze_evolution,
     classicality_check,
     delta_nmark,
@@ -37,6 +41,7 @@ from fixtures import (
     S_DECOHERE,
     S_DRIVE,
     S_GATE_QUBIT,
+    S_TRANSPOSE_QUBIT,
     random_density,
     random_hermitian,
 )
@@ -451,6 +456,71 @@ def test_analyze_evolution_builds_the_basis_once(monkeypatch):
     assert np.array_equal(analysis.mark.s_mark, expected.mark.s_mark)
 
 
+def _gksl_generators(sic, seed, count):
+    # seeded dissipative generators: H = 0.3 (G + G^H) / 2, one noise
+    # operator V = 0.5 G' for complex Gaussian G and G'
+    rng = np.random.default_rng(seed)
+    d = sic.dim
+    out = []
+    for _ in range(count):
+        g, v = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2))
+        out.append(lgen_from_gksl(GkslSpec(d, 0.15 * (g + g.conj().T), (0.5 * v,)), sic).matrix)
+    return out
+
+
+def _same_report(a, b):
+    return (a.value, a.lam.tobytes(), a.restarts_agreeing, a.evaluations) == (
+        b.value, b.lam.tobytes(), b.restarts_agreeing, b.evaluations
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_generators_searched_together_get_the_bits_they_get_alone(dim):
+    # the frame searches of run_pipeline's two matrices share one batched
+    # search; each generator must come out as from a search of its own.
+    # The qubit set holds two symmetric generators, whose lanes meet
+    # singular model problems (the pinv fallback), and the qutrit pairs
+    # pad their model problems to different widths
+    sic = SIC if dim == 2 else load_d3()
+    if dim == 2:
+        sz = hgen_from_hamiltonian(SZ, SIC)
+        zero = np.zeros((2, 2))
+        drive = lgen_from_gksl(GkslSpec(2, zero, (0.4 * SZ + 0.2j * np.eye(2)[::-1],)), SIC)
+        dephase = lgen_from_gksl(GkslSpec(2, zero, (np.sqrt(0.8) * SZ,)), SIC)
+        gens = _gksl_generators(SIC, 5, 4) + [sz + drive.matrix, dephase.matrix]
+    else:
+        gens = _gksl_generators(sic, 7, 6)
+    opt = OptConfig(restarts=2, seed=0)
+    alone = [delta_quant_detail(g, sic, opt) for g in gens]
+    for k in range(0, len(gens), 2):
+        together = _framesearch.search(np.array(gens[k : k + 2]), sic, opt)
+        for got, want in zip(together, alone[k : k + 2], strict=True):
+            assert _same_report(DeltaQuantReport(*got), want)
+    # three at once, across the pairs
+    together = _framesearch.search(np.array(gens[1:4]), sic, opt)
+    for got, want in zip(together, alone[1:4], strict=True):
+        assert _same_report(DeltaQuantReport(*got), want)
+    # and through the analysis of two evolution matrices
+    mats = [mat_exp(0.3 * g) for g in gens[:2]]
+    for got, m in zip(_analyze_many(mats, sic, opt), mats, strict=True):
+        want = analyze_evolution(m, sic, opt)
+        assert _same_report(got.quant, want.quant)
+        assert got.mark.s_mark.tobytes() == want.mark.s_mark.tobytes()
+        assert got.markov_residual == want.markov_residual
+        assert got.log.tobytes() == want.log.tobytes()
+
+
+def test_analyze_many_raises_what_a_failing_log_raises():
+    # the second matrix has no real log: the batch raises the error that
+    # analyze_evolution raises for it alone
+    opt = OptConfig(restarts=2, seed=0)
+    with pytest.raises(LogBranchError) as alone:
+        analyze_evolution(S_TRANSPOSE_QUBIT, SIC, opt)
+    with pytest.raises(LogBranchError) as together:
+        _analyze_many((S_DRIVE, S_TRANSPOSE_QUBIT), SIC, opt)
+    assert str(together.value) == str(alone.value)
+
+
 def test_experiment_compose_identity_chain():
     # preparing the SIC states and measuring the SIC reproduces the Gram-based
     # conditional probability matrix
@@ -489,6 +559,23 @@ def test_experiment_compose_rejects_bad_prep():
     mm = measurement_map([p / 2 for p in SIC.projectors], SIC)
     with pytest.raises(ValueError):
         experiment_compose(ExperimentScheme(prep=prep, channels=(), meas=mm))
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 4, 4), ()])
+def test_experiment_compose_names_a_channel_that_is_not_a_matrix(shape):
+    # a 1-D channel used to raise an untyped IndexError, which the CLI maps
+    # to no exit code
+    prep = np.full((4, 1), 0.25)
+    mm = measurement_map([p / 2 for p in SIC.projectors], SIC)
+    bad = np.ones(shape)
+    scheme = ExperimentScheme(prep=prep, channels=(np.eye(4), bad), meas=mm)
+    message = f"channel 1 must be a matrix, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        experiment_compose(scheme)
+    scheme = ExperimentScheme(prep=prep, channels=(), meas=MeasurementMap(mm.mmat, bad))
+    message = f"measurement map must be a matrix, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        experiment_compose(scheme)
 
 
 def test_experiment_compose_warns_on_negative_outcome():

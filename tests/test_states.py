@@ -79,6 +79,18 @@ def test_validate_density_rejects_bad_inputs():
         validate_density(np.diag([1.5, -0.5]), 2)  # negative eigenvalue
 
 
+@pytest.mark.parametrize("eig, raises", [(-2e-9, True), (-5e-10, False)])
+def test_validate_density_eigenvalue_tolerance_is_1e_9(eig, raises):
+    # a unit-trace Hermitian matrix with eigenvalue just past -1e-9 is
+    # rejected; just inside, it passes
+    rho = np.diag([1.0 - eig, eig])
+    if raises:
+        with pytest.raises(PhysicalityError, match="negative eigenvalue"):
+            validate_density(rho, 2)
+    else:
+        assert np.array_equal(validate_density(rho, 2), rho)
+
+
 def test_state_to_prob_validates():
     with pytest.raises(PhysicalityError):
         state_to_prob(np.diag([1.5, -0.5]).astype(complex), SIC)

@@ -143,6 +143,20 @@ def test_simulate_counts_rejects_nonphysical_distributions():
         simulate_counts(H3_QUBIT, SIC, shots=100, seed=0)
 
 
+@pytest.mark.parametrize("excess, raises", [(2e-9, True), (5e-10, False)])
+def test_simulate_counts_negative_probability_tolerance_is_1e_9(excess, raises):
+    # S = I + v 1^T with v = (-a, a, 0, 0) has unit column sums and maps an
+    # input's distribution p to p + v; the least first entry of an input
+    # distribution is 1/6, so a = 1/6 + excess gives the entry -excess
+    a = 1.0 / 6.0 + excess
+    s_matrix = np.eye(4) + np.outer([-a, a, 0.0, 0.0], np.ones(4))
+    if raises:
+        with pytest.raises(ValueError, match="input 1 has negative entry"):
+            simulate_counts(s_matrix, SIC, shots=100, seed=0)
+    else:
+        assert simulate_counts(s_matrix, SIC, shots=100, seed=0).counts.sum() == 400
+
+
 def test_raw_reconstruction_error_scaling():
     # root-mean-square entry error of the plain linear inversion stays within
     # twice the 1/sqrt(N) scale over repeated draws
