@@ -9,162 +9,28 @@ scores how non-classical or non-Markovian an evolution is, and reconstructs
 processes from measured counts.
 """
 
-from ._optim import OptConfig
-from .channels import (
-    CptpReport,
-    apply,
-    builtin_ptp,
-    choi_to_pstoch,
-    compose,
-    is_cptp,
-    kraus_to_pstoch,
-    project_cptp,
-    pstoch_to_choi,
-)
-from .dynamics import (
-    Generator,
-    GkslSpec,
-    basis_hunit,
-    basis_sigma,
-    dgen_from_v,
-    evolve_time_ordered,
-    evolve_unitary,
-    hgen_from_hamiltonian,
-    kolmogorov_matrix,
-    lgen_from_gksl,
-    omega_basis,
-    project_mark,
-    project_unit,
-)
-from .errors import (
-    LogBranchError,
-    NonRealLogError,
-    NumericalDomainError,
-    OptimizerError,
-    PhysicalityError,
-)
-from .linalg import eig_hermitian, frobenius_dist, mat_exp, mat_log_real
-from .measures import (
-    DeltaQuantReport,
-    EvolutionAnalysis,
-    ExperimentScheme,
-    MarkovReport,
-    analyze_evolution,
-    classicality_check,
-    delta_nmark,
-    delta_quant,
-    delta_quant_detail,
-    experiment_compose,
-    markov_report,
-    negativity,
-)
-from .sic import (
-    Fiducial,
-    SicPovm,
-    SicReport,
-    builtin_qubit,
-    fingerprint,
-    from_fiducial,
-    kmatrix,
-    verify,
-)
-from .states import (
-    MeasurementMap,
-    measurement_map,
-    mub_from_sic,
-    overlap,
-    prob_to_state,
-    qplex_membership,
-    sic_from_mub,
-    state_to_prob,
-    validate_density,
-)
-from .tomography import (
-    CountsRecord,
-    PipelineReport,
-    ReconstructionReport,
-    calibrate,
-    error_estimate,
-    freq_from_counts,
-    input_prob_matrix,
-    reconstruct_raw,
-    run_pipeline,
-    simulate_counts,
-)
+from . import _optim, channels, dynamics, errors, linalg, measures, sic, states, tomography
+from ._optim import *
+from .channels import *
+from .dynamics import *
+from .errors import *
+from .linalg import *
+from .measures import *
+from .sic import *
+from .states import *
+from .tomography import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "OptConfig",
-    "CptpReport",
-    "apply",
-    "builtin_ptp",
-    "choi_to_pstoch",
-    "compose",
-    "is_cptp",
-    "kraus_to_pstoch",
-    "project_cptp",
-    "pstoch_to_choi",
-    "Generator",
-    "GkslSpec",
-    "basis_hunit",
-    "basis_sigma",
-    "dgen_from_v",
-    "evolve_time_ordered",
-    "evolve_unitary",
-    "hgen_from_hamiltonian",
-    "kolmogorov_matrix",
-    "lgen_from_gksl",
-    "omega_basis",
-    "project_mark",
-    "project_unit",
-    "LogBranchError",
-    "NonRealLogError",
-    "NumericalDomainError",
-    "OptimizerError",
-    "PhysicalityError",
-    "eig_hermitian",
-    "frobenius_dist",
-    "mat_exp",
-    "mat_log_real",
-    "DeltaQuantReport",
-    "EvolutionAnalysis",
-    "ExperimentScheme",
-    "MarkovReport",
-    "analyze_evolution",
-    "classicality_check",
-    "delta_nmark",
-    "delta_quant",
-    "delta_quant_detail",
-    "experiment_compose",
-    "markov_report",
-    "negativity",
-    "Fiducial",
-    "SicPovm",
-    "SicReport",
-    "builtin_qubit",
-    "fingerprint",
-    "from_fiducial",
-    "kmatrix",
-    "verify",
-    "MeasurementMap",
-    "measurement_map",
-    "mub_from_sic",
-    "overlap",
-    "prob_to_state",
-    "qplex_membership",
-    "sic_from_mub",
-    "state_to_prob",
-    "validate_density",
-    "CountsRecord",
-    "PipelineReport",
-    "ReconstructionReport",
-    "calibrate",
-    "error_estimate",
-    "freq_from_counts",
-    "input_prob_matrix",
-    "reconstruct_raw",
-    "run_pipeline",
-    "simulate_counts",
+    *_optim.__all__,
+    *channels.__all__,
+    *dynamics.__all__,
+    *errors.__all__,
+    *linalg.__all__,
+    *measures.__all__,
+    *sic.__all__,
+    *states.__all__,
+    *tomography.__all__,
     "__version__",
 ]

@@ -60,7 +60,7 @@ _CURVATURE_FLOOR = 1e-8
 _AGREE_TOL = 1e-3
 
 
-def _frame_rotations(lam: np.ndarray, basis: np.ndarray, cuts=()) -> np.ndarray:
+def _frame_rotations(lam: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Rotations ``exp(sum_i lam[k, i] H_i)`` for a stack of parameter rows.
 
     Every generator ``B`` of the stack is real antisymmetric with zero
@@ -69,25 +69,21 @@ def _frame_rotations(lam: np.ndarray, basis: np.ndarray, cuts=()) -> np.ndarray:
     formula is exact. Larger frames use ``mat_exp``'s Taylor series with
     scaling and squaring in real arithmetic, batched over the stack. A
     batched ``eigh`` of ``i B`` does the same job about three times slower
-    on 9 x 9 frames. The runs of rows between ``cuts`` get the bits they
-    get alone: the product with the basis is a GEMV for one row, and the
-    series scales its stack as one.
+    on 9 x 9 frames. Each row is computed on its own: ``B`` is summed term
+    by term, elementwise (a product with the basis is a GEMV for one row and
+    a GEMM for more, which differ in the last bit), and the series scales
+    each matrix by its own norm, so a row's bits do not depend on the stack.
     """
-    nlam, n, _ = basis.shape
-    flat = basis.reshape(nlam, n * n)
-    gen = np.concatenate([part @ flat for part in np.split(lam, cuts)]).reshape(-1, n, n)
-    if n == 4:
+    gen = lam[:, 0, None, None] * basis[0]
+    for i in range(1, len(basis)):
+        gen += lam[:, i, None, None] * basis[i]
+    if basis.shape[-1] == 4:
         # theta = 0 only with gen = 0, so clipping it just avoids 0 / 0
         theta = np.maximum(np.sqrt(0.5 * np.einsum("kab,kab->k", gen, gen)), 1e-300)
         sinc = (np.sin(theta) / theta)[:, None, None]
         half_sinc = (np.sin(0.5 * theta) / (0.5 * theta))[:, None, None]
-        return np.eye(n) + sinc * gen + 0.5 * half_sinc**2 * (gen @ gen)
-    return np.concatenate([_taylor_exp(part) for part in np.split(gen, cuts)])
-
-
-def _cuts(owner: np.ndarray) -> np.ndarray:
-    """Where the runs of equal entries of the sorted ``owner`` start, the first left out."""
-    return np.flatnonzero(owner[1:] != owner[:-1]) + 1
+        return np.eye(4) + sinc * gen + 0.5 * half_sinc**2 * (gen @ gen)
+    return _taylor_exp(gen)
 
 
 def _off_diagonals(m: np.ndarray) -> np.ndarray:
@@ -214,9 +210,10 @@ def _refine(lmats: np.ndarray, basis: np.ndarray, u: np.ndarray, owner: np.ndarr
     model promises no decrease, after a full step that promised almost
     none, at a classical frame, or when backtracking fails. Only steps that
     lower the largest entry are taken, so no lane ends above its start.
-    Lane ``k`` refines a frame of ``lmats[owner[k]]``, with the bits it gets
-    alone. Returns each lane's final negativity and the frames it scored;
-    ``u`` is updated in place, to each lane's final rotation.
+    Lane ``k`` refines a frame of ``lmats[owner[k]]``; every kernel computes
+    each lane on its own, so its bits do not depend on the other lanes.
+    Returns each lane's final negativity and the frames it scored; ``u`` is
+    updated in place, to each lane's final rotation.
     """
     nlam, n = len(basis), u.shape[-1]
     off = _off_diagonal_index(n)
@@ -246,7 +243,7 @@ def _refine(lmats: np.ndarray, basis: np.ndarray, u: np.ndarray, owner: np.ndarr
         inverse = _model_inverse(0.5 * (hess + hess.transpose(0, 2, 1)), grad, mu[lanes])
         reach = inverse @ grad.transpose(0, 2, 1)
         step, t_step, mu[lanes], active[lanes] = _model_step(
-            reach, grad @ reach, f[lanes], fmax[lanes], active[lanes], _cuts(owner[lanes])
+            reach, grad @ reach, f[lanes], fmax[lanes], active[lanes]
         )
         gain = fmax[lanes] - t_step
         live = gain > _CONVERGED
@@ -254,7 +251,7 @@ def _refine(lmats: np.ndarray, basis: np.ndarray, u: np.ndarray, owner: np.ndarr
         lanes, step, gain = lanes[live], step[live], gain[live]
         alpha = 1.0
         while lanes.size:
-            u_try = _frame_rotations(alpha * step, basis, _cuts(owner[lanes])) @ u[lanes]
+            u_try = _frame_rotations(alpha * step, basis) @ u[lanes]
             m_try = _conjugate(lmats[owner[lanes]], u_try)
             scored[lanes] += 1
             f_try = -_off_diagonals(m_try)
@@ -302,7 +299,7 @@ def _model_inverse(hess, grad, mu):
     return (vec / curv[:, None, :]) @ vec.transpose(0, 2, 1)
 
 
-def _model_step(reach, gram, f, fmax, active, cuts):
+def _model_step(reach, gram, f, fmax, active):
     """Each lane's solution of its model problem, by active sets.
 
     ``reach`` is ``B^-1 G^T`` and ``gram`` is ``G B^-1 G^T`` over the
@@ -320,7 +317,7 @@ def _model_step(reach, gram, f, fmax, active, cuts):
     """
     lanes = len(f)
     every = np.arange(lanes)
-    step, t, mult = _equality_step(reach, gram, f, active, cuts)
+    step, t, mult = _equality_step(reach, gram, f, active)
     lin = -_mv(gram, mult)  # G delta
     # lanes whose first guess fits start at its equality solution,
     # multipliers known
@@ -336,7 +333,7 @@ def _model_step(reach, gram, f, fmax, active, cuts):
             break
         drop = at_target & pending
         work[drop, worst[drop]] = False
-        target, target_t, target_mult = _equality_step(reach, gram, f, work, cuts)
+        target, target_t, target_mult = _equality_step(reach, gram, f, work)
         target_lin = -_mv(gram, target_mult)
         slope = target_lin - lin - (target_t - t)[:, None]
         blocks = ~work & (slope > 0.0)
@@ -355,51 +352,43 @@ def _model_step(reach, gram, f, fmax, active, cuts):
     return step, t, mult / mult.sum(axis=1, keepdims=True), work
 
 
-def _equality_step(reach, gram, f, work, cuts):
+def _equality_step(reach, gram, f, work):
     """``delta``, ``t`` and multipliers of each lane's equality problem.
 
     ``min t + delta^T B delta / 2`` subject to ``f_a + grad f_a . delta = t``
     on the active entries. With ``delta = -B^-1 sum_a mu_a grad f_a`` the
     multipliers and ``t`` solve ``S mu + t = f``, ``sum mu = 1``, where
-    ``S`` is ``gram`` on the active entries; lanes are padded to one size
-    with rows that fix their multipliers at zero. Multipliers come back
-    for every entry, zero off the active set.
+    ``S`` is ``gram`` on the active entries. Each lane's system is solved
+    at its own size, the lanes of one size in one stacked call, so a lane
+    gets the same bits whichever lanes share its call. Multipliers come
+    back for every entry, zero off the active set.
     """
-    lanes, counts = len(f), work.sum(axis=1)
-    width = int(counts.max())
-    if len(cuts) and np.maximum.reduceat(counts, [0, *cuts]).min() < width:
-        return _apart(reach, gram, f, work, cuts)
-    idx = np.argsort(~work, axis=1, kind="stable")[:, :width]
-    rows = np.arange(lanes)[:, None]
-    valid = work[rows, idx]
-    system = np.zeros((lanes, width + 1, width + 1))
-    both = valid[:, :, None] & valid[:, None, :]
-    block = gram[rows[:, :, None], idx[:, :, None], idx[:, None, :]]
-    system[:, :width, :width] = np.where(both, block, 0.0) + np.eye(width) * ~valid[:, None, :]
-    system[:, :width, width] = valid
-    system[:, width, :width] = valid
-    rhs = np.ones((lanes, width + 1))
-    rhs[:, :width] = np.where(valid, f[rows, idx], 0.0)
+    counts = work.sum(axis=1)
+    mult, t = np.zeros(f.shape), np.empty(len(f))
+    for width in np.unique(counts):
+        lanes = np.flatnonzero(counts == width)
+        rows = lanes[:, None]
+        idx = np.nonzero(work[lanes])[1].reshape(lanes.size, width)
+        system = np.ones((lanes.size, width + 1, width + 1))
+        system[:, :width, :width] = gram[rows[:, :, None], idx[:, :, None], idx[:, None, :]]
+        system[:, width, width] = 0.0
+        rhs = np.ones((lanes.size, width + 1))
+        rhs[:, :width] = f[rows, idx]
+        sol = _solve(system, rhs)
+        mult[rows, idx], t[lanes] = sol[:, :width], sol[:, width]
+    return -_mv(reach, mult), t, mult
+
+
+def _solve(system, rhs):
+    """``system^-1 rhs`` for each lane, or the least-norm solution for a
+    singular one: two active entries with equal values and gradients,
+    which symmetric generators can have, split their multiplier."""
     try:
-        sol = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+        return np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        # two active entries with equal values and gradients, which
-        # symmetric generators can have: the least-norm solution splits
-        # their multiplier
-        if len(cuts):
-            return _apart(reach, gram, f, work, cuts)
-        sol = _mv(np.linalg.pinv(system), rhs)
-    mult = np.zeros(f.shape)
-    mult[rows, idx] = np.where(valid, sol[:, :width], 0.0)
-    return -_mv(reach, mult), sol[:, width], mult
-
-
-def _apart(reach, gram, f, work, cuts):
-    """``_equality_step`` of each run of lanes on its own, stacked: a lane's
-    bits depend on the width its system is padded to, and on whether a
-    lane that shares its call falls back to ``pinv``."""
-    parts = zip(*(np.split(a, cuts) for a in (reach, gram, f, work)))
-    return tuple(map(np.concatenate, zip(*(_equality_step(*p, ()) for p in parts))))
+        if len(system) == 1:
+            return _mv(np.linalg.pinv(system), rhs)
+        return np.concatenate([_solve(a[None], b[None]) for a, b in zip(system, rhs)])
 
 
 def _largest(f: np.ndarray) -> np.ndarray:
@@ -446,7 +435,9 @@ def _frame_lam(rotation: np.ndarray, s: SicPovm) -> np.ndarray:
 
 def search(lmats: np.ndarray, s: SicPovm, opt: OptConfig) -> list[tuple]:
     """``(value, lam, agreeing, evaluations)`` of the best frame of each
-    generator of the stack ``lmats``, each with the bits of a search of its own.
+    generator of the stack ``lmats``, each with the bits of a search of its
+    own: the refined starts of all share one loop, but each lane is computed
+    on its own.
 
     ``agreeing`` counts the refined starts that end within ``_AGREE_TOL``
     of the best value; ``evaluations`` counts every frame scored.

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import OptConfig
-from .errors import NumericalDomainError, OptimizerError, PhysicalityError, _require_finite
+from .errors import (
+    NumericalDomainError,
+    OptimizerError,
+    PhysicalityError,
+    _require_finite,
+    _require_tol,
+)
 from .sic import SicPovm, _require_sic, _to_frame
 
 __all__ = [
@@ -174,8 +180,10 @@ def is_cptp(
     the output factor equals ``I/d_in`` within ``tol`` (the latter is the
     matrix form of ``sum_k A_k^H A_k = I``). Report-only; never raises for
     an unphysical matrix. A matrix with non-finite entries gets ``False``
-    and non-finite residuals.
+    and non-finite residuals. Raises ValueError for a ``tol`` that is not a
+    finite number of at least 0.
     """
+    _require_tol(tol, "tol")
     s = np.asarray(s, dtype=float)
     d_in, d_out = sic_in.dim, sic_out.dim
     rho = _choi(s, sic_in, sic_out)

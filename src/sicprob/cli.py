@@ -15,7 +15,7 @@ import numpy as np
 
 from ._optim import OptConfig
 from .channels import kraus_to_pstoch
-from .errors import NumericalDomainError, OptimizerError, PhysicalityError
+from .errors import NumericalDomainError, OptimizerError, PhysicalityError, _require_tol
 from .measures import analyze_evolution
 from .sic import SicPovm, builtin_qubit, fingerprint, from_fiducial
 from .serialize import (
@@ -88,8 +88,7 @@ def _csv_blocks(path: str, named: list[tuple[str, np.ndarray]]) -> None:
 
 
 def _cmd_convert(args) -> int:
-    if not 0.0 <= args.tol < float("inf"):
-        raise ValueError(f"--tol must be a finite nonnegative number, got {args.tol!r}")
+    _require_tol(args.tol, "--tol")
     sic = _load_sic(args.sic)
     obj = _read_json(args.input)
     if "kraus" in obj:

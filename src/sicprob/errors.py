@@ -63,6 +63,13 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains non-finite entries")
 
 
+def _require_tol(tol: float, what: str) -> None:
+    """Raise ValueError unless ``tol`` is a finite number of at least 0: a
+    NaN, negative or infinite tolerance would decide a check silently."""
+    if not 0.0 <= tol < float("inf"):
+        raise ValueError(f"{what} must be a finite nonnegative number, got {tol!r}")
+
+
 def _require_int(value, what: str, least: int) -> None:
     """Raise ValueError unless ``value`` is an integer, not a bool, of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:

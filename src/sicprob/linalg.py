@@ -43,15 +43,17 @@ def _taylor_exp(a: np.ndarray) -> np.ndarray:
     """``exp`` of a square matrix, or of every matrix of a stack.
 
     The Taylor series with scaling and squaring (Moler and Van Loan, SIAM
-    Rev. 45, 3 (2003)): one scaling for the whole stack brings every 1-norm
-    to at most 1/2, where 14 terms leave a remainder below 1e-16. Real in,
-    real out; complex input works the same way.
+    Rev. 45, 3 (2003)): each matrix is scaled by its own power of two to a
+    1-norm of at most 1/2, where 14 terms leave a remainder below 1e-16,
+    and squared back as often, so it gets the same bits whichever matrices
+    share the stack. Real in, real out; complex input works the same way.
     """
     n = a.shape[-1]
-    norm = float(np.abs(a).sum(axis=-2).max())
-    if not math.isfinite(norm):
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    if not np.isfinite(norms).all():
         raise ValueError("matrix 1-norm overflows; its exponential is not representable")
-    squarings = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
+    squarings = np.array([math.ceil(math.log2(x / 0.5)) if x > 0.5 else 0 for x in norms.flat])
+    squarings = squarings.reshape(norms.shape)[..., None, None]
     scaled = a / 2.0**squarings
     out = np.eye(n) + scaled
     term = scaled
@@ -59,8 +61,8 @@ def _taylor_exp(a: np.ndarray) -> np.ndarray:
         term = term @ scaled
         term /= k
         out += term
-    for _ in range(squarings):
-        out = out @ out
+    for k in range(int(squarings.max())):
+        out = np.where(squarings > k, out @ out, out)
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhysicalityError, _check_hermitian, _require_finite
+from .errors import PhysicalityError, _check_hermitian, _require_finite, _require_tol
 from .sic import _TETRA, SicPovm
 
 __all__ = [
@@ -82,8 +82,10 @@ def qplex_membership(p: np.ndarray, s: SicPovm, tol: float = 1e-9) -> bool:
 
     Exact test by reconstruction: true iff ``p`` sums to 1 within ``tol``
     and the operator rebuilt from ``p`` has minimum eigenvalue ``>= -tol``.
-    Raises ValueError, rather than answering, for non-finite entries.
+    Raises ValueError, rather than answering, for non-finite entries or a
+    ``tol`` that is not a finite number of at least 0.
     """
+    _require_tol(tol, "tol")
     rho = prob_to_state(p, s)
     if abs(np.sum(p) - 1.0) > tol:
         return False

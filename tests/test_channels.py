@@ -250,6 +250,22 @@ def test_positive_but_not_completely_positive():
             assert qplex_membership(q, SIC)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+def test_is_cptp_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # the identity channel read False with nan and -1, and any matrix True
+    # with inf
+    with pytest.raises(ValueError, match="tol must be a finite nonnegative number"):
+        is_cptp(np.eye(4), SIC, SIC, tol=tol)
+
+
+def test_is_cptp_accepts_a_zero_tolerance():
+    ok, rep = is_cptp(np.eye(4), SIC, SIC)
+    assert ok
+    exact, rep_exact = is_cptp(np.eye(4), SIC, SIC, tol=0.0)
+    assert rep_exact.min_choi_eig == rep.min_choi_eig
+    assert exact == (rep.min_choi_eig >= 0.0 and rep.tp_residual <= 0.0)
+
+
 def test_is_cptp_on_real_channels():
     rng = np.random.default_rng(65)
     for _ in range(10):

@@ -216,3 +216,17 @@ def test_mat_log_real_defective_input_takes_the_logm_fallback(monkeypatch):
     l = mat_log_real(np.array([[1.0, 0.5], [0.0, 1.0]]))
     assert len(calls) == 1
     assert np.abs(l - np.array([[0.0, 0.5], [0.0, 0.0]])).max() < 1e-14
+
+
+def test_mat_log_real_nearly_defective_input_takes_the_logm_fallback():
+    # a rotated 2 x 2 block with eigenvalues 1 and 1 + 1e-7 and nearly
+    # parallel eigenvectors: the eigendecomposition log misses s by ~1e-9
+    # on the way back, far past the 1e-12 round-trip check, and logm's log
+    # gives s back to rounding
+    c, sn = np.cos(0.7), np.sin(0.7)
+    q = np.array([[c, -sn], [sn, c]])
+    s = q @ np.array([[1.0, 1.0], [0.0, 1.0 + 1e-7]]) @ q.T
+    w, v = np.linalg.eig(s)
+    eig_log = ((v * np.log(w)) @ np.linalg.inv(v)).real
+    assert np.abs(mat_exp(eig_log) - s).max() > 1e-10
+    assert np.abs(mat_exp(mat_log_real(s)) - s).max() < 1e-14

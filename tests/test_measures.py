@@ -479,8 +479,10 @@ def test_generators_searched_together_get_the_bits_they_get_alone(dim):
     # the frame searches of run_pipeline's two matrices share one batched
     # search; each generator must come out as from a search of its own.
     # The qubit set holds two symmetric generators, whose lanes meet
-    # singular model problems (the pinv fallback), and the qutrit pairs
-    # pad their model problems to different widths
+    # singular model problems (the pinv fallback), and the qutrit lanes
+    # reach model problems of different widths. Last, every generator of
+    # a recorded fixture in one call: the 48 qubit ones at restarts 8, or
+    # the 8 qutrit ones
     sic = SIC if dim == 2 else load_d3()
     if dim == 2:
         sz = hgen_from_hamiltonian(SZ, SIC)
@@ -508,6 +510,13 @@ def test_generators_searched_together_get_the_bits_they_get_alone(dim):
         assert got.mark.s_mark.tobytes() == want.mark.s_mark.tobytes()
         assert got.markov_residual == want.markov_residual
         assert got.log.tobytes() == want.log.tobytes()
+    name = "delta_quant_tomo_d2_r2_seed0.json" if dim == 2 else "delta_quant_qutrit_restarts8.json"
+    with open(DATA / name, encoding="utf-8") as fh:
+        gens = np.array(json.load(fh)["generators"])
+    opt = OptConfig(restarts=8, seed=0)
+    together = _framesearch.search(gens, sic, opt)
+    for got, g in zip(together, gens, strict=True):
+        assert _same_report(DeltaQuantReport(*got), delta_quant_detail(g, sic, opt))
 
 
 def test_analyze_many_raises_what_a_failing_log_raises():
@@ -589,6 +598,19 @@ def test_experiment_compose_warns_on_negative_outcome():
         warnings.simplefilter("always")
         experiment_compose(ExperimentScheme(prep=bad, channels=(), meas=mm))
     assert any("negative" in str(w.message).lower() for w in caught)
+
+
+@pytest.mark.parametrize("entry, warns", [(-2e-9, True), (-5e-10, False)])
+def test_experiment_compose_warns_below_minus_1e9(entry, warns):
+    # a response that returns the SIC probabilities themselves, so the
+    # outcome matrix is the prep column, one entry just past or just
+    # inside the warning's tolerance
+    prep = np.array([[0.5 - entry], [0.5], [0.0], [entry]])
+    identity = MeasurementMap(mmat=np.eye(4), bigm=np.eye(4))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        experiment_compose(ExperimentScheme(prep=prep, channels=(), meas=identity))
+    assert any("negative" in str(w.message) for w in caught) == warns
 
 
 def test_delta_quant_on_dissipative_table_matrix():

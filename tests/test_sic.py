@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -84,6 +85,26 @@ def test_verify_report_on_builtin():
     assert rep.max_projector_dev < 1e-12
     assert rep.max_gram_dev < 1e-12
     assert rep.max_resolution_dev < 1e-12
+
+
+@pytest.mark.parametrize("tilt, ok", [(2e-8, False), (4e-9, True)])
+def test_verify_checks_the_resolution_of_identity(tilt, ok):
+    # four pure states whose Bloch vectors all tilt toward the first by
+    # ``tilt``: Tr(P_i P_j) moves by 4/9 of it, the largest entry of the
+    # sum of the projectors by (4/3) sqrt(2/3), about 1.09, of it. At 2e-8
+    # the overlaps pass the 1e-8 check and only the resolution of identity
+    # fails
+    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    s = builtin_qubit()
+    bloch = np.einsum("iab,kba->ik", s.projectors, pauli).real
+    tilted = bloch + tilt * bloch[0]
+    tilted /= np.linalg.norm(tilted, axis=1, keepdims=True)
+    projectors = 0.5 * (np.eye(2) + np.einsum("ik,kab->iab", tilted, pauli))
+    rep = verify(dataclasses.replace(s, projectors=projectors))
+    assert rep.max_projector_dev < 1e-15
+    assert rep.max_gram_dev < 1e-8
+    assert (rep.max_resolution_dev <= 1e-8) == ok
+    assert rep.ok == ok
 
 
 def test_qubit_fiducial_generates_sic():

@@ -140,6 +140,20 @@ def test_qplex_membership_rejects_vectors_that_do_not_sum_to_one():
     assert qplex_membership(np.full(4, 0.25 + 1e-6), SIC, tol=1e-5)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+def test_qplex_membership_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # a pure state read False with nan
+    p = state_to_prob(np.diag([1.0, 0.0]).astype(complex), SIC)
+    with pytest.raises(ValueError, match="tol must be a finite nonnegative number"):
+        qplex_membership(p, SIC, tol=tol)
+
+
+def test_qplex_membership_accepts_a_zero_tolerance():
+    p = state_to_prob(np.diag([1.0, 0.0]).astype(complex), SIC)
+    assert qplex_membership(p, SIC)
+    assert qplex_membership(np.full(4, 0.25), SIC, tol=0.0)
+
+
 def test_overlap_matches_hilbert_schmidt():
     rng = np.random.default_rng(45)
     for _ in range(30):
