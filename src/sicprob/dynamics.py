@@ -54,7 +54,6 @@ class Generator:
     Hamiltonian piece and ``d_part`` the dissipative remainder.
     """
 
-    dim: int
     matrix: np.ndarray
     h_part: np.ndarray | None = None
     d_part: np.ndarray | None = None
@@ -160,22 +159,22 @@ def _hunit_stack(s: SicPovm, sig: np.ndarray) -> np.ndarray:
     return np.stack(out)
 
 
-def project_unit(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the span of the unitary generator basis.
+def project_unit(m: np.ndarray, s: SicPovm) -> np.ndarray:
+    """Orthogonal projection onto the span of the unitary generators of ``s``.
 
-    ``P(M) = sum_i Tr(H_i^T M) H_i / (4 d)``; idempotent, and the identity
-    on any Hamiltonian-generated matrix. Raises ValueError unless ``b`` is
-    a stack of square matrices of ``m``'s shape, or for non-finite entries.
+    ``P(M) = sum_i Tr(H_i^T M) H_i / (4 d)`` over ``basis_hunit(s)``;
+    idempotent, and the identity on any Hamiltonian-generated matrix.
+    Raises TypeError unless ``s`` is a SicPovm, and ValueError unless
+    ``m`` is a finite ``d^2 x d^2`` matrix.
     """
+    b = basis_hunit(s)
+    n = s.dim * s.dim
     m = np.asarray(m, dtype=float)
-    b = np.asarray(b)
-    if b.ndim != 3 or m.shape != (b.shape[1], b.shape[1]):
-        raise ValueError(f"matrix shape {m.shape} does not match basis {b.shape}")
+    if m.shape != (n, n):
+        raise ValueError(f"matrix shape {m.shape}, expected ({n}, {n})")
     _require_finite(m, "matrix")
-    _require_finite(b, "basis")
-    d = math.isqrt(len(m))
     coeffs = np.einsum("iab,ab->i", b, m)
-    return np.einsum("i,iab->ab", coeffs, b) / (4.0 * d)
+    return np.einsum("i,iab->ab", coeffs, b) / (4.0 * s.dim)
 
 
 def evolve_unitary(g: Generator | np.ndarray, t: float, s: SicPovm) -> np.ndarray:
@@ -186,7 +185,7 @@ def evolve_unitary(g: Generator | np.ndarray, t: float, s: SicPovm) -> np.ndarra
     orthogonal and pseudobistochastic.
     """
     h = as_matrix(g)
-    proj = project_unit(h, basis_hunit(s))
+    proj = project_unit(h, s)
     dev = math.sqrt(frobenius_dist(proj, h))
     scale = max(1.0, math.sqrt(float(np.sum(h * h))))
     if dev > 1e-8 * scale:
@@ -265,7 +264,7 @@ def lgen_from_gksl(spec: GkslSpec, s: SicPovm) -> Generator:
         v0 = v - trace_coef * eye
         h_eff += 0.5j * (np.conj(trace_coef) * v0 - trace_coef * v0.conj().T)
     h_part = hgen_from_hamiltonian(h_eff, s)
-    return Generator(dim=d, matrix=lmat, h_part=h_part, d_part=lmat - h_part)
+    return Generator(lmat, h_part=h_part, d_part=lmat - h_part)
 
 
 def kolmogorov_matrix(spec: GkslSpec, basis_states: np.ndarray | None = None) -> np.ndarray:
@@ -287,19 +286,19 @@ def kolmogorov_matrix(spec: GkslSpec, basis_states: np.ndarray | None = None) ->
     return (vecs.conj() @ lam @ vecs.T).real
 
 
-def omega_basis(s: SicPovm, b: np.ndarray) -> np.ndarray:
-    """Dissipator basis family, indexed ``[i, j]`` over operator-basis pairs.
+def omega_basis(s: SicPovm) -> np.ndarray:
+    """Dissipator basis family, indexed ``[i, j]`` over traceless basis pairs.
 
     ``Omega_ij = K^-1 (sigma_i (x) sigma_j.conj()
-    - (sigma_j sigma_i (x) I)/2 - (I (x) (sigma_i sigma_j).conj())/2) K``;
-    any PSD combination ``sum_ij P_ij Omega_ij`` is a valid dissipative
-    part. Each element has zero column sums. ``b`` must hold the traceless
-    operator-basis elements (the identity direction belongs to the
-    Hamiltonian sector, not here). Raises ValueError for non-finite ``b``.
+    - (sigma_j sigma_i (x) I)/2 - (I (x) (sigma_i sigma_j).conj())/2) K``
+    over the traceless ``basis_sigma(d)[:-1]`` (the identity direction
+    belongs to the Hamiltonian sector, not here); any PSD combination
+    ``sum_ij P_ij Omega_ij`` is a valid dissipative part. Each element has
+    zero column sums. Built once per SIC, read-only. Raises TypeError
+    unless ``s`` is a SicPovm.
     """
-    b = np.asarray(b)
-    _require_finite(b, "basis")
-    return _omega_stack(s, b, _theta_stack(s, s, b))
+    _require_sic(s=s)
+    return _sic_ops(s).omega
 
 
 def _theta_stack(sic_in: SicPovm, sic_out: SicPovm, sig: np.ndarray) -> np.ndarray:
@@ -345,12 +344,14 @@ def _omega_stack(s: SicPovm, sig: np.ndarray, jump: np.ndarray) -> np.ndarray:
     return jump - 0.5 * (left + right)
 
 
-def dgen_from_v(vmat: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Dissipative part generated by noise-coefficient matrix ``V``."""
+def dgen_from_v(vmat: np.ndarray, s: SicPovm) -> np.ndarray:
+    """Dissipative part ``sum_ij (V V^H)_ij Omega_ij`` over ``omega_basis(s)``;
+    ValueError unless the coefficient matrix ``V`` is finite with ``d^2 - 1`` rows."""
+    omega = omega_basis(s)
     vmat = np.asarray(vmat, dtype=complex)
-    omega = np.asarray(omega)
+    if vmat.ndim != 2 or len(vmat) != len(omega):
+        raise ValueError(f"coefficient matrix shape {vmat.shape}, expected {len(omega)} rows")
     _require_finite(vmat, "coefficient matrix")
-    _require_finite(omega, "dissipator basis")
     p = vmat @ vmat.conj().T
     d = np.einsum("ij,ijab->ab", p, omega)
     imag = float(np.abs(d.imag).max())
@@ -371,6 +372,7 @@ class _SicOps(NamedTuple):
 
     sigma: np.ndarray  # traceless part of basis_sigma(d), shape (m, d, d)
     hunit: np.ndarray  # basis_hunit(s)
+    omega: np.ndarray  # omega_basis(s)
     amat: np.ndarray  # Omega as a real map: P.view(float) -> sum_ij P_ij Omega_ij
     solve: np.ndarray  # (A^T A + rho I)^-1, the linear solve of each ADMM step
     theta: np.ndarray  # Theta over basis_sigma(d), then project_cptp's real
@@ -402,11 +404,12 @@ def _sic_ops(s: SicPovm) -> _SicOps:
     sig = _sigma_stack(s.dim)[:-1]
     m = sig.shape[0]
     maps = _cptp_maps(s, s)
-    flat = _omega_stack(s, sig, maps[0][:-1, :-1]).reshape(m * m, n * n).T
+    omega = _omega_stack(s, sig, maps[0][:-1, :-1])
+    flat = omega.reshape(m * m, n * n).T
     # interleaved (Re P_ij, Im P_ij) columns: a complex P viewed as floats
     amat = np.stack([flat.real, -flat.imag], axis=-1).reshape(n * n, 2 * m * m)
     solve = _inverse(amat.T @ amat + _ADMM_RHO * np.eye(2 * m * m))
-    arrays = (_hunit_stack(s, sig), amat, solve, *maps)
+    arrays = (_hunit_stack(s, sig), omega, amat, solve, *maps)
     return _SicOps(sig, *map(_read_only, arrays))
 
 

@@ -22,7 +22,6 @@ from ._optim import OptConfig
 from .dynamics import (
     Generator,
     as_matrix,
-    basis_hunit,
     project_mark,
     project_unit,
 )
@@ -166,7 +165,7 @@ def _markov_parts(s_matrix: np.ndarray, s: SicPovm):
     eigenvalues) when the log does not exist on the principal branch.
     """
     lmat, exp_log = _log_real_and_exp(np.asarray(s_matrix, dtype=float))
-    h_part = project_unit(lmat, basis_hunit(s))
+    h_part = project_unit(lmat, s)
     d_proj, residual = project_mark(lmat - h_part, s)
     s_mark = mat_exp(h_part + d_proj)
     return lmat, exp_log, h_part, d_proj, residual, s_mark

@@ -11,6 +11,7 @@ number, never a string or a boolean, although NumPy would read both.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 
 import numpy as np
@@ -104,6 +105,13 @@ def _floats(m: np.ndarray) -> list:
     return np.asarray(m, dtype=float).tolist()
 
 
+def _require_shape(a, shape: tuple[int, ...], key: str) -> None:
+    """Raise ValueError naming ``key`` unless ``a`` has ``shape``, so that no
+    writer returns an object its loader rejects."""
+    if np.shape(a) != shape:
+        raise ValueError(f"'{key}' has shape {np.shape(a)}, expected {shape}")
+
+
 def _positive_int(obj: dict, key: str) -> int:
     """``obj[key]``, which must be a positive integer: JSON's ``true`` is not one."""
     v = obj.get(key)
@@ -113,10 +121,9 @@ def _positive_int(obj: dict, key: str) -> int:
 
 
 def dump_fiducial(f: Fiducial) -> dict:
-    return {
-        "dim": int(f.dim),
-        "amplitudes": encode_complex_matrix(f.amplitudes),
-    }
+    d = len(f.amplitudes)
+    _require_shape(f.amplitudes, (d,), "amplitudes")
+    return {"dim": d, "amplitudes": encode_complex_matrix(f.amplitudes)}
 
 
 def load_fiducial(obj: dict) -> Fiducial:
@@ -125,7 +132,7 @@ def load_fiducial(obj: dict) -> Fiducial:
     if not isinstance(amps, list) or len(amps) != d:
         raise ValueError(f"'amplitudes' must list {d} [re, im] pairs")
     vec = decode_complex_matrix(amps, d, 1, "amplitudes").reshape(d)
-    return Fiducial(dim=d, amplitudes=vec)
+    return Fiducial(vec)
 
 
 def dump_sic(s: SicPovm) -> dict:
@@ -136,6 +143,7 @@ def dump_sic(s: SicPovm) -> dict:
 
 
 def dump_prob_vector(p: np.ndarray, dim: int) -> dict:
+    _require_shape(p, (dim * dim,), "probs")
     return {"dim": int(dim), "probs": _floats(p)}
 
 
@@ -148,6 +156,7 @@ def load_prob_vector(obj: dict) -> tuple[int, np.ndarray]:
 
 
 def dump_density(rho: np.ndarray, dim: int) -> dict:
+    _require_shape(rho, (dim, dim), "matrix")
     return {"dim": int(dim), "matrix": encode_complex_matrix(rho)}
 
 
@@ -156,10 +165,14 @@ def load_density(obj: dict) -> tuple[int, np.ndarray]:
     return d, decode_complex_matrix(obj.get("matrix"), d, d, "matrix")
 
 
-def dump_kraus_channel(kraus: list[np.ndarray], dim_in: int, dim_out: int) -> dict:
+def dump_kraus_channel(kraus: list[np.ndarray]) -> dict:
+    try:
+        [(d_out, d_in)] = {np.shape(a) for a in kraus}
+    except ValueError:
+        raise ValueError("'kraus' must be a non-empty list of matrices of one shape") from None
     return {
-        "dim_in": int(dim_in),
-        "dim_out": int(dim_out),
+        "dim_in": d_in,
+        "dim_out": d_out,
         "kraus": [encode_complex_matrix(a) for a in kraus],
     }
 
@@ -189,6 +202,7 @@ def load_kraus_channel(obj: dict) -> tuple[int, int, list[np.ndarray]]:
 
 
 def dump_pstoch(s: np.ndarray, dim_in: int, dim_out: int) -> dict:
+    _require_shape(s, (dim_out * dim_out, dim_in * dim_in), "matrix")
     return {
         "dim_in": int(dim_in),
         "dim_out": int(dim_out),
@@ -204,8 +218,12 @@ def load_pstoch(obj: dict) -> tuple[int, int, np.ndarray]:
 
 
 def dump_gksl(spec: GkslSpec) -> dict:
+    d = spec.dim
+    _require_shape(spec.hamiltonian, (d, d), "hamiltonian")
+    for k, v in enumerate(spec.noise_ops):
+        _require_shape(v, (d, d), f"noise_ops[{k}]")
     return {
-        "dim": int(spec.dim),
+        "dim": int(d),
         "hamiltonian": encode_complex_matrix(spec.hamiltonian),
         "noise_ops": [encode_complex_matrix(v) for v in spec.noise_ops],
     }
@@ -224,14 +242,13 @@ def load_gksl(obj: dict) -> GkslSpec:
 
 
 def dump_generator(g: Generator) -> dict:
-    out = {
-        "dim": int(g.dim),
-        "matrix": _floats(g.matrix),
-    }
-    if g.h_part is not None:
-        out["h_part"] = _floats(g.h_part)
-    if g.d_part is not None:
-        out["d_part"] = _floats(g.d_part)
+    d = math.isqrt(len(g.matrix))
+    out = {"dim": d}
+    for key in ("matrix", "h_part", "d_part"):
+        part = getattr(g, key)
+        if part is not None:
+            _require_shape(part, (d * d, d * d), key)
+            out[key] = _floats(part)
     return out
 
 
@@ -245,10 +262,11 @@ def load_generator(obj: dict) -> Generator:
         h_part = _real_array(h_part, (n, n), "h_part")
     if d_part is not None:
         d_part = _real_array(d_part, (n, n), "d_part")
-    return Generator(dim=d, matrix=matrix, h_part=h_part, d_part=d_part)
+    return Generator(matrix, h_part=h_part, d_part=d_part)
 
 
 def dump_counts(c: CountsRecord) -> dict:
+    _require_shape(c.counts, (c.dim * c.dim, c.dim * c.dim), "counts")
     return {
         "dim": int(c.dim),
         "shots": int(c.shots),

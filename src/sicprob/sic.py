@@ -39,9 +39,9 @@ def vec(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Fiducial:
-    """A normalized vector whose Weyl-Heisenberg orbit forms a SIC."""
+    """A normalized vector whose Weyl-Heisenberg orbit forms a SIC; its
+    dimension is the length of ``amplitudes``."""
 
-    dim: int
     amplitudes: np.ndarray
 
 

@@ -209,11 +209,7 @@ def _reconstruction(
         s_raw=s_raw,
         s_cptp=s_cptp,
         per_entry_error=delta,
-        meta={
-            **meta,
-            "cptp_distance": math.sqrt(frobenius_dist(s_raw, s_cptp)),
-            "calibration_order": "project-then-invert",
-        },
+        meta={**meta, "cptp_distance": math.sqrt(frobenius_dist(s_raw, s_cptp))},
     )
 
 

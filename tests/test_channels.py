@@ -17,8 +17,8 @@ from sicprob.channels import (
     project_cptp,
     pstoch_to_choi,
 )
-from sicprob.errors import OptimizerError, PhysicalityError
-from sicprob.sic import builtin_qubit
+from sicprob.errors import NumericalDomainError, OptimizerError, PhysicalityError
+from sicprob.sic import builtin_qubit, from_fiducial
 from sicprob.states import state_to_prob
 from sicprob.tomography import freq_from_counts, reconstruct_raw, simulate_counts
 
@@ -134,6 +134,46 @@ def test_kraus_rejects_malformed_sets():
         kraus_to_pstoch([np.eye(2), np.eye(3)], SIC, SIC)
     with pytest.raises(ValueError, match="does not match"):
         kraus_to_pstoch([np.eye(3)], SIC, SIC)
+    with pytest.raises(ValueError, match="must be a list of matrices"):
+        kraus_to_pstoch([np.ones(2)], SIC, SIC)
+
+
+@pytest.mark.parametrize("excess, raises", [(2e-9, True), (5e-10, False)])
+def test_pstoch_column_sum_tolerance_is_1e_9(excess, raises):
+    s = np.eye(4)
+    s[1, 2] += excess
+    if raises:
+        with pytest.raises(ValueError, match="columns do not sum to 1"):
+            pstoch_to_choi(s, SIC, SIC)
+    else:
+        identity = pstoch_to_choi(np.eye(4), SIC, SIC)
+        assert np.abs(pstoch_to_choi(s, SIC, SIC) - identity).max() < 1e-8
+
+
+def huge_columns(n: int) -> np.ndarray:
+    """Integer entries near 2^32 whose columns sum to exactly 1: the Choi
+    matrix's rounding then exceeds pstoch_to_choi's absolute 1e-9."""
+    s = np.round(np.random.default_rng(0).normal(size=(n, n)) * 2.0**32)
+    s[-1] = 1 - s[:-1].sum(axis=0)
+    return s
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: pstoch_to_choi(np.eye(9), SIC, SIC), ValueError, "does not match SIC dims"),
+        (lambda: pstoch_to_choi(huge_columns(9), SIC3, SIC3), NumericalDomainError, "not Hermitian"),
+        (lambda: choi_to_pstoch(np.eye(3), SIC, SIC), ValueError, "Choi matrix shape"),
+        (lambda: choi_to_pstoch(1j * np.eye(4), SIC, SIC), NumericalDomainError, "imaginary"),
+        (lambda: project_cptp(np.eye(4), SIC, SIC3), ValueError, "equal input and output"),
+        (lambda: project_cptp(np.eye(9), SIC, SIC), ValueError, "matrix shape"),
+    ],
+    ids=["pstoch_to_choi-shape", "pstoch_to_choi-not-hermitian", "choi_to_pstoch-shape", "choi_to_pstoch-not-hermitian",
+         "project_cptp-dims", "project_cptp-shape"],
+)  # fmt: skip
+def test_conversions_reject_just_wrong_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
@@ -222,6 +262,9 @@ def test_builtin_ptp_fixtures():
     assert np.abs(sr - S_REDUCTION_QUBIT).max() < 1e-12
     with pytest.raises(ValueError):
         builtin_ptp("nonsense", SIC)
+    # the trivial d=1 SIC exists, but the reduction map divides by d - 1
+    with pytest.raises(ValueError, match="at least 2"):
+        builtin_ptp("reduction", from_fiducial(np.array([1.0])))
 
 
 @pytest.mark.parametrize("sic", [SIC, SIC3], ids=["d2", "d3"])

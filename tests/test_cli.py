@@ -18,7 +18,14 @@ from sicprob.sic import builtin_qubit
 from sicprob.states import state_to_prob
 from sicprob.tomography import simulate_counts
 
-from fixtures import S_GATE_QUBIT, S_TRANSPOSE_QUBIT, random_density
+from fixtures import (
+    DATA,
+    S_GATE_QUBIT,
+    S_TRANSPOSE_QUBIT,
+    qutrit_sic,
+    random_density,
+    random_kraus_channel,
+)
 
 SIC = builtin_qubit()
 
@@ -61,7 +68,7 @@ def test_convert_probs_round_trip(tmp_path, capsys):
 
 def test_convert_kraus_channel(tmp_path, capsys):
     kraus = [np.diag([1.0, 1j])]
-    path = write(tmp_path, "chan.json", dump_kraus_channel(kraus, 2, 2))
+    path = write(tmp_path, "chan.json", dump_kraus_channel(kraus))
     code, out, _ = run_main(capsys, ["convert", path])
     assert code == 0
     obj = json.loads(out)
@@ -146,7 +153,7 @@ def test_convert_nonfinite_input_is_input_error(tmp_path, capsys, kind):
     # finite checks the Kraus and density files exited 0 with an all-NaN
     # result, and the probabilities exited 3 (physicality).
     if kind == "kraus":
-        obj = dump_kraus_channel([np.diag([1.0, 1j])], 2, 2)
+        obj = dump_kraus_channel([np.diag([1.0, 1j])])
         obj["kraus"][0][3][1] = float("nan")
     elif kind == "density":
         obj = dump_density(np.eye(2) / 2, 2)
@@ -171,6 +178,52 @@ def test_convert_string_and_boolean_entries_are_input_errors(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "input error" in err and "'probs' entries must be numbers" in err
+
+
+def test_convert_qutrit_state_with_a_fiducial_sic(tmp_path, capsys):
+    rho = random_density(np.random.default_rng(134), 3)
+    path = write(tmp_path, "state.json", dump_density(rho, 3))
+    sic = f"fiducial:{DATA / 'fiducial_d3.json'}"
+    code, out, _ = run_main(capsys, ["convert", path, "--sic", sic])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["dim"] == 3
+    assert np.abs(np.array(obj["probs"]) - state_to_prob(rho, qutrit_sic())).max() < 1e-12
+
+
+def test_bad_sic_spec_and_a_file_without_an_object_are_input_errors(tmp_path, capsys):
+    path = write(tmp_path, "state.json", dump_density(np.eye(2) / 2, 2))
+    code, out, err = run_main(capsys, ["convert", path, "--sic", "qubit"])
+    assert (code, out) == (2, "")
+    assert "--sic must be 'builtin-qubit' or 'fiducial:PATH'" in err
+    path = write(tmp_path, "list.json", [1, 2, 3])
+    code, out, err = run_main(capsys, ["convert", path])
+    assert (code, out) == (2, "")
+    assert "does not contain a JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("kraus", "channel is 3x3 but the SIC has dimension 2"),
+        ("probs", "probability vector is d=3 but the SIC is d=2"),
+        ("density", "state is d=3 but the SIC is d=2"),
+    ],
+)
+def test_convert_input_of_another_dimension_than_the_sic_is_input_error(
+    tmp_path, capsys, kind, message
+):
+    rng = np.random.default_rng(135)
+    rho = random_density(rng, 3)
+    if kind == "kraus":
+        obj = dump_kraus_channel(random_kraus_channel(rng, 3, 2))
+    elif kind == "probs":
+        obj = dump_prob_vector(state_to_prob(rho, qutrit_sic()), 3)
+    else:
+        obj = dump_density(rho, 3)
+    code, out, err = run_main(capsys, ["convert", write(tmp_path, f"{kind}.json", obj)])
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_missing_file_is_input_error(capsys):
@@ -199,6 +252,21 @@ def test_analyze_phase_gate(tmp_path, capsys):
     assert np.abs(np.array(obj["d_part"])).max() < 1e-6
     assert obj["delta_quant"]["delta_quant"] >= 0
     assert len(obj["delta_quant"]["argmax_lambda"]) == 3
+
+
+def test_analyze_writes_csv(tmp_path, capsys):
+    path = write(tmp_path, "sgate.json", dump_pstoch(S_GATE_QUBIT, 2, 2))
+    csv_path = tmp_path / "out.csv"
+    code, out, _ = run_main(capsys, ["analyze", path, "--restarts", "2", "--csv", str(csv_path)])
+    assert code == 0
+    obj = json.loads(out)
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "matrix,row,col,value"
+    rows = [line.split(",") for line in lines[1:]]
+    names = ("log", "h_part", "d_part", "s_mark")
+    assert [r[0] for r in rows] == [name for name in names for _ in range(16)]
+    log = np.array([float(r[3]) for r in rows if r[0] == "log"]).reshape(4, 4)
+    assert np.array_equal(log, np.array(obj["log"]))
 
 
 def test_analyze_deterministic_given_seed(tmp_path, capsys):

@@ -57,19 +57,16 @@ NAN4 = np.full((4, 4), np.nan)
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: project_unit(NAN4, np.full((3, 4, 4), np.nan)),
-        lambda: project_unit(NAN4, basis_hunit(SIC)),
+        lambda: project_unit(NAN4, SIC),
         lambda: hgen_from_hamiltonian(NAN2, SIC),
         lambda: lgen_from_gksl(GkslSpec(2, NAN2, (NAN2,)), SIC),
         lambda: lgen_from_gksl(GkslSpec(2, np.eye(2), (NAN2,)), SIC),
         lambda: kolmogorov_matrix(GkslSpec(2, NAN2, (NAN2,)), NAN2),
         lambda: kolmogorov_matrix(GkslSpec(2, np.eye(2), (NAN2,))),
         lambda: kolmogorov_matrix(GkslSpec(2, np.eye(2)), NAN2),
-        lambda: dgen_from_v(np.full((3, 3), np.nan), np.full((3, 3, 4, 4), np.nan)),
-        lambda: omega_basis(SIC, np.full((3, 2, 2), np.nan)),
+        lambda: dgen_from_v(np.full((3, 3), np.nan), SIC),
     ],
     ids=[
-        "project_unit",
         "project_unit-matrix",
         "hgen_from_hamiltonian",
         "lgen_from_gksl",
@@ -78,7 +75,6 @@ NAN4 = np.full((4, 4), np.nan)
         "kolmogorov_matrix-noise",
         "kolmogorov_matrix-basis",
         "dgen_from_v",
-        "omega_basis",
     ],
 )
 def test_rejects_nonfinite(call):
@@ -87,10 +83,14 @@ def test_rejects_nonfinite(call):
     assert type(exc.value) is ValueError
 
 
-def test_project_unit_rejects_a_basis_that_is_not_a_stack():
-    # used to raise IndexError, which the CLI maps to no exit code
-    with pytest.raises(ValueError, match="does not match basis"):
-        project_unit(np.eye(4), np.ones(4))
+def test_project_unit_rejects_a_matrix_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"matrix shape \(3, 3\), expected \(4, 4\)"):
+        project_unit(np.eye(3), SIC)
+
+
+def test_dgen_from_v_rejects_a_wrong_row_count():
+    with pytest.raises(ValueError, match="expected 3 rows"):
+        dgen_from_v(np.eye(4), SIC)
 
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -173,6 +173,23 @@ def test_hgen_rejects_nonhermitian():
         hgen_from_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), SIC)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: basis_sigma(1), "at least 2"),
+        (lambda: hgen_from_hamiltonian(np.eye(2), qutrit_sic()), "does not match SIC 3"),
+        (lambda: hgen_from_hamiltonian(np.ones((2, 3)), SIC), "must be square"),
+        (lambda: lgen_from_gksl(GkslSpec(2, np.eye(2)), qutrit_sic()), "does not match SIC 3"),
+        (lambda: lgen_from_gksl(GkslSpec(2, np.eye(2), (np.eye(3),)), SIC), "noise operator shape"),
+        (lambda: project_mark(np.eye(9), SIC), r"expected \(4, 4\)"),
+    ],
+    ids=["basis_sigma", "hgen-sic", "hgen-square", "lgen-sic", "lgen-noise", "project_mark"],
+)  # fmt: skip
+def test_rejects_mismatched_shapes(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_hgen_antisymmetric_zero_column_sums():
     rng = np.random.default_rng(83)
     for _ in range(10):
@@ -198,35 +215,32 @@ def test_basis_hunit_gram_normalization():
 
 def test_project_unit_recovers_members():
     rng = np.random.default_rng(84)
-    b = basis_hunit(SIC)
     for _ in range(20):
         h = random_hermitian(rng, 2)
         g = hgen_from_hamiltonian(h, SIC)
-        assert np.abs(project_unit(g, b) - g).max() < 1e-11
+        assert np.abs(project_unit(g, SIC) - g).max() < 1e-11
 
 
 def test_project_unit_idempotent_and_kills_symmetric():
     rng = np.random.default_rng(85)
-    b = basis_hunit(SIC)
     m = rng.standard_normal((4, 4))
-    once = project_unit(m, b)
-    assert np.abs(project_unit(once, b) - once).max() < 1e-12
+    once = project_unit(m, SIC)
+    assert np.abs(project_unit(once, SIC) - once).max() < 1e-12
     sym = m + m.T
-    assert np.abs(project_unit(sym, b)).max() < 1e-12
+    assert np.abs(project_unit(sym, SIC)).max() < 1e-12
 
 
 def test_project_unit_is_orthogonal_projection():
     # residual is orthogonal to every basis element
     rng = np.random.default_rng(86)
-    b = basis_hunit(SIC)
     m = rng.standard_normal((4, 4))
-    resid = m - project_unit(m, b)
-    for el in b:
+    resid = m - project_unit(m, SIC)
+    for el in basis_hunit(SIC):
         assert abs(np.sum(resid * el)) < 1e-10
 
 
 def test_evolve_unitary_closed_form():
-    g = Generator(dim=2, matrix=H3_QUBIT / 2)
+    g = Generator(H3_QUBIT / 2)
     for t in (0.0, np.pi / 4, np.pi / 2, np.pi, 2 * np.pi, -1.3):
         u = evolve_unitary(g, t, SIC)
         assert np.abs(u - rotation_z_closed_form(t)).max() < 1e-10
@@ -286,7 +300,7 @@ def test_evolve_time_ordered_midpoint_is_second_order():
 
 
 def test_evolve_time_ordered_generator_objects():
-    g = Generator(dim=2, matrix=H3_QUBIT / 2)
+    g = Generator(H3_QUBIT / 2)
     u = evolve_time_ordered(lambda t: g, 0.3, steps=500)
     assert np.abs(u - mat_exp(g.matrix * 0.3)).max() < 1e-8
 
@@ -337,13 +351,12 @@ def test_lgen_split_matches_unitary_projection():
     # even when noise operators carry a trace, the identity component is
     # folded into the Hamiltonian part, so h_part is the unitary projection
     rng = np.random.default_rng(108)
-    b = basis_hunit(SIC)
     for _ in range(10):
         h = random_hermitian(rng, 2)
         v = 0.5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         g = lgen_from_gksl(GkslSpec(2, h, (v,)), SIC)
-        assert np.abs(project_unit(g.matrix, b) - g.h_part).max() < 1e-11
-        assert np.abs(project_unit(g.d_part, b)).max() < 1e-11
+        assert np.abs(project_unit(g.matrix, SIC) - g.h_part).max() < 1e-11
+        assert np.abs(project_unit(g.d_part, SIC)).max() < 1e-11
 
 
 def test_lgen_parts_sum():
@@ -435,8 +448,7 @@ def test_gksl_spec_dim_must_match_the_hamiltonian():
 
 
 def test_omega_elements_have_zero_column_sums():
-    sig = basis_sigma(2)[:-1]
-    om = omega_basis(SIC, sig)
+    om = omega_basis(SIC)
     assert om.shape == (3, 3, 4, 4)
     for i in range(3):
         for j in range(3):
@@ -446,22 +458,32 @@ def test_omega_elements_have_zero_column_sums():
 @pytest.mark.parametrize("d", [2, 3])
 def test_omega_basis_matches_kronecker_loop(d):
     sic = SIC if d == 2 else qutrit_sic()
-    sig = basis_sigma(d)[:-1]
+    b = basis_sigma(d)[:-1]
     eye = np.eye(d)
-    for b in (sig, sig[::-1]):  # the Gell-Mann order and another
-        om = omega_basis(sic, b)
-        for i in range(len(b)):
-            for j in range(len(b)):
-                mid = np.kron(b[i], b[j].conj())
-                mid -= 0.5 * np.kron(b[j] @ b[i], eye)
-                mid -= 0.5 * np.kron(eye, (b[i] @ b[j]).conj())
-                assert np.abs(om[i, j] - sic.kinv @ mid @ sic.kmat).max() < 1e-12
+    om = omega_basis(sic)
+    assert not om.flags.writeable
+    for i in range(len(b)):
+        for j in range(len(b)):
+            mid = np.kron(b[i], b[j].conj())
+            mid -= 0.5 * np.kron(b[j] @ b[i], eye)
+            mid -= 0.5 * np.kron(eye, (b[i] @ b[j]).conj())
+            assert np.abs(om[i, j] - sic.kinv @ mid @ sic.kmat).max() < 1e-12
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("d", [2, 3])
+def test_omega_basis_is_the_family_built_from_the_traceless_basis(d):
+    # the cached family equals, bit for bit, the one that omega_basis built
+    # per call from Theta over the traceless basis before it was cached
+    sic = SIC if d == 2 else qutrit_sic()
+    sig = basis_sigma(d)[:-1]
+    fresh = dynamics._omega_stack(sic, sig, dynamics._theta_stack(sic, sic, sig))
+    assert np.array_equal(omega_basis(sic), fresh)
 
 
 def test_dgen_from_v_matches_gksl_dissipator():
     rng = np.random.default_rng(93)
     sig = basis_sigma(2)[:-1]
-    om = omega_basis(SIC, sig)
     for _ in range(10):
         ops = [
             0.4 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
@@ -473,7 +495,7 @@ def test_dgen_from_v_matches_gksl_dissipator():
         coef = np.array(
             [[np.trace(sig[i].conj().T @ v) / 2 for v in ops] for i in range(3)]
         )
-        assert np.abs(dgen_from_v(coef, om) - g.d_part).max() < 1e-11
+        assert np.abs(dgen_from_v(coef, SIC) - g.d_part).max() < 1e-11
 
 
 def test_project_mark_fixed_point():
@@ -499,7 +521,7 @@ def test_project_mark_perturbation_stays_close():
 
 def markov_residual(lmat):
     """Distance of a generator from Hamiltonian plus valid dissipator."""
-    return project_mark(lmat - project_unit(lmat, basis_hunit(SIC)), SIC)[1]
+    return project_mark(lmat - project_unit(lmat, SIC), SIC)[1]
 
 
 def test_project_mark_no_worse_than_recorded_multistart():

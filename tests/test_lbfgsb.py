@@ -42,7 +42,8 @@ def runs(monkeypatch):
 
 def assert_lanes_match_minimize(fun_grad_many, x0, mus, max_iter, gtol, ftol):
     """Each lane equals scipy.optimize.minimize run stage after stage, bit
-    for bit; returns the ``(nit, success)`` of every lane's stages."""
+    for bit, at the driver's evaluation cap; returns the ``(nit, success)``
+    of every lane's stages."""
     assert (mus, gtol, ftol) == ((1.0, 10.0, 100.0, 1000.0), 1e-8, 1e-14)
     stages = []
     for lane, (x, f, g, nit, success) in enumerate(
@@ -61,7 +62,12 @@ def assert_lanes_match_minimize(fun_grad_many, x0, mus, max_iter, gtol, ftol):
                 args=(mu,),
                 jac=True,
                 method="L-BFGS-B",
-                options={"maxiter": max_iter, "gtol": gtol, "ftol": ftol},
+                options={
+                    "maxiter": max_iter,
+                    "gtol": gtol,
+                    "ftol": ftol,
+                    "maxfun": _lbfgsb._MAXFUN,
+                },
             )
             xm = res.x
             stages.append((res.nit, res.success))
@@ -104,6 +110,17 @@ def test_driver_matches_minimize_at_the_iteration_cap(runs, monkeypatch):
         project_cptp(qubit_case(0), SIC, SIC, OptConfig(restarts=2))
     (args, _), = runs
     assert assert_lanes_match_minimize(*args) == [(3, False)] * 8
+
+
+def test_driver_matches_minimize_at_the_evaluation_cap(runs, monkeypatch):
+    # every stage stops after the iteration that passes 5 evaluations: the
+    # NEW_X stop path (502)
+    monkeypatch.setattr(_lbfgsb, "_MAXFUN", 5)
+    with pytest.raises(OptimizerError):
+        project_cptp(qubit_case(0), SIC, SIC, OptConfig(restarts=2))
+    (args, _), = runs
+    stages = assert_lanes_match_minimize(*args)
+    assert [success for _, success in stages] == [False] * 8
 
 
 def test_driver_matches_minimize_when_lanes_finish_in_different_rounds(runs):

@@ -13,9 +13,12 @@ from sicprob.channels import project_cptp
 from sicprob.dynamics import (
     GkslSpec,
     basis_hunit,
+    dgen_from_v,
     evolve_unitary,
     hgen_from_hamiltonian,
     lgen_from_gksl,
+    omega_basis,
+    project_unit,
 )
 from sicprob.errors import LogBranchError
 from sicprob.linalg import frobenius_dist, mat_exp
@@ -137,9 +140,12 @@ def test_delta_quant_rejects_mismatched_basis():
         (lambda b: project_cptp(np.eye(4), SIC, b), "sic_out"),
         (lambda b: evolve_unitary(H3_QUBIT, 1.0, b), "s"),
         (lambda b: markov_report(np.eye(4), b), "s"),
+        (lambda b: project_unit(np.eye(4), b), "s"),
+        (lambda b: omega_basis(b), "s"),
+        (lambda b: dgen_from_v(np.eye(3), b), "s"),
     ],
     ids=["delta_quant", "delta_quant_detail", "project_cptp_in", "project_cptp_out",
-         "evolve_unitary", "markov_report"],
+         "evolve_unitary", "markov_report", "project_unit", "omega_basis", "dgen_from_v"],
 )  # fmt: skip
 def test_a_basis_stack_in_place_of_the_sic_raises_type_error(call, name):
     # the old basis-taking forms of these calls raised AttributeError or
@@ -438,19 +444,21 @@ def test_analyze_evolution_bundle():
 
 
 def test_analyze_evolution_builds_the_basis_once(monkeypatch):
-    import sicprob.measures as measures
+    from sicprob import dynamics
 
     calls = []
+    build = dynamics._hunit_stack
 
-    def counted(s):
+    def counted(s, sig):
         calls.append(s)
-        return basis_hunit(s)
+        return build(s, sig)
 
     opt = OptConfig(restarts=2, seed=20)
     expected = analyze_evolution(S_DRIVE, SIC, opt)
-    monkeypatch.setattr(measures, "basis_hunit", counted)
-    analysis = analyze_evolution(S_DRIVE, SIC, opt)
-    assert len(calls) == 1
+    monkeypatch.setattr(dynamics, "_hunit_stack", counted)
+    fresh = builtin_qubit()  # a SIC the per-SIC cache has not seen
+    analysis = analyze_evolution(S_DRIVE, fresh, opt)
+    assert calls == [fresh]
     assert analysis.quant.value == expected.quant.value
     assert np.array_equal(analysis.h_part, expected.h_part)
     assert np.array_equal(analysis.mark.s_mark, expected.mark.s_mark)
@@ -585,6 +593,29 @@ def test_experiment_compose_names_a_channel_that_is_not_a_matrix(shape):
     message = f"measurement map must be a matrix, got shape {shape}"
     with pytest.raises(ValueError, match=re.escape(message)):
         experiment_compose(scheme)
+
+
+@pytest.mark.parametrize(
+    "channel, effects, match",
+    [
+        (np.eye(9), None, "channel 0 input dimension 9 does not match chain 4"),
+        (np.eye(4), [np.eye(3)], "measurement input dimension 9 does not match chain 4"),
+        (2 * np.eye(4), None, "composed outcome columns do not sum to 1"),
+    ],
+    ids=["channel", "meas", "columns"],
+)
+def test_experiment_compose_rejects_chains_that_do_not_fit(channel, effects, match):
+    mm = measurement_map([p / 2 for p in SIC.projectors], SIC)
+    if effects is not None:
+        mm = measurement_map(effects, load_d3())
+    scheme = ExperimentScheme(prep=np.full((4, 1), 0.25), channels=(channel,), meas=mm)
+    with pytest.raises(ValueError, match=match):
+        experiment_compose(scheme)
+
+
+def test_negativity_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="square matrix"):
+        negativity(np.ones((2, 3)))
 
 
 def test_experiment_compose_warns_on_negative_outcome():

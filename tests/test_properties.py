@@ -186,9 +186,8 @@ def test_gksl_generator_splits_into_unitary_and_dissipative_parts(case):
     d, spec = case
     sic = SICS[d]
     gen = lgen_from_gksl(spec, sic)
-    basis = basis_hunit(sic)
     tol = 1e-10 * max(1.0, float(np.abs(gen.matrix).max()))
     assert np.abs(gen.matrix.sum(axis=0)).max() <= tol
     assert np.abs(gen.h_part + gen.d_part - gen.matrix).max() <= tol
-    assert np.abs(project_unit(gen.h_part, basis) - gen.h_part).max() <= tol
-    assert np.abs(project_unit(gen.d_part, basis)).max() <= tol
+    assert np.abs(project_unit(gen.h_part, sic) - gen.h_part).max() <= tol
+    assert np.abs(project_unit(gen.d_part, sic)).max() <= tol

@@ -61,7 +61,7 @@ def test_prob_vector_round_trip():
 def test_kraus_round_trip():
     rng = np.random.default_rng(123)
     kraus = random_kraus_channel(rng, 2, 3)
-    d_in, d_out, back = load_kraus_channel(dump_kraus_channel(kraus, 2, 2))
+    d_in, d_out, back = load_kraus_channel(dump_kraus_channel(kraus))
     assert (d_in, d_out) == (2, 2)
     assert len(back) == 3
     for a, b in zip(kraus, back):
@@ -75,7 +75,7 @@ def test_kraus_set_decodes_as_one_array(monkeypatch):
 
     rng = np.random.default_rng(124)
     kraus = random_kraus_channel(rng, 3, 4, dim_out=2)
-    obj = json.loads(json.dumps(dump_kraus_channel(kraus, 3, 2)))
+    obj = json.loads(json.dumps(dump_kraus_channel(kraus)))
     per_op = [decode_complex_matrix(a, 2, 3, "k") for a in obj["kraus"]]
 
     def refuse(*args):
@@ -91,7 +91,7 @@ def test_kraus_set_decodes_as_one_array(monkeypatch):
 
 
 def test_kraus_operators_must_be_lists():
-    obj = dump_kraus_channel([np.eye(2)], 2, 2)
+    obj = dump_kraus_channel([np.eye(2)])
     obj["kraus"] = [np.array(obj["kraus"][0])]
     with pytest.raises(ValueError, match=r"'kraus\[0\]' must be a flat list"):
         load_kraus_channel(obj)
@@ -128,7 +128,7 @@ def test_generator_round_trip_with_parts():
 
 
 def test_generator_round_trip_without_parts():
-    g = Generator(dim=2, matrix=np.eye(4))
+    g = Generator(np.eye(4))
     back = load_generator(dump_generator(g))
     assert back.h_part is None
     assert back.d_part is None
@@ -146,9 +146,9 @@ def test_fiducial_round_trip():
     from sicprob.sic import Fiducial
 
     amp = np.array([0.0, 1 / np.sqrt(2), -1 / np.sqrt(2)], dtype=complex)
-    obj = dump_fiducial(Fiducial(3, amp))
+    obj = dump_fiducial(Fiducial(amp))
     fid = load_fiducial(obj)
-    assert fid.dim == 3
+    assert len(fid.amplitudes) == 3
     assert np.abs(fid.amplitudes - amp).max() == 0.0
 
 
@@ -207,6 +207,63 @@ def test_load_counts_rejects_fractional_counts():
         load_counts({"dim": 2, "shots": 1024, "counts": [[2**64, 0, 0, 0]] * 4})
     whole = load_counts({"dim": 2, "shots": 1024, "counts": [[1024.0, 0, 0, 0]] * 4})
     assert whole.counts.dtype == np.int64
+
+
+PSI2 = np.array([1.0, 0.0], dtype=complex)
+COUNTS2 = np.array([[4, 0, 0, 0]] * 4)
+
+
+# A writer handed arrays that disagree with a dimension raises ValueError
+# naming the JSON key; where the dimension is read from the arrays, an old
+# call that passes it beside them raises TypeError. So no writer returns an
+# object that its loader rejects.
+@pytest.mark.parametrize(
+    "write, error, match",
+    [
+        (lambda: dump_prob_vector(np.full(9, 1 / 9), 2), ValueError, "'probs'"),
+        (lambda: dump_density(np.eye(3) / 3, 2), ValueError, "'matrix'"),
+        (lambda: dump_pstoch(np.eye(4), 2, 3), ValueError, "'matrix'"),
+        (lambda: dump_gksl(GkslSpec(3, np.eye(2))), ValueError, "'hamiltonian'"),
+        (lambda: dump_gksl(GkslSpec(2, np.eye(2), (np.eye(3),))), ValueError, r"'noise_ops\[0\]'"),
+        (lambda: dump_counts(CountsRecord(3, 4, COUNTS2)), ValueError, "'counts'"),
+        (lambda: dump_generator(Generator(np.eye(5))), ValueError, "'matrix'"),
+        (lambda: dump_generator(Generator(np.eye(4), d_part=np.eye(9))), ValueError, "'d_part'"),
+        (lambda: Generator(dim=3, matrix=np.eye(4)), TypeError, "'dim'"),
+        (lambda: dump_fiducial(Fiducial(PSI2[:, None])), ValueError, "'amplitudes'"),
+        (lambda: Fiducial(dim=3, amplitudes=PSI2), TypeError, "'dim'"),
+        (lambda: dump_kraus_channel([np.eye(2), np.eye(3)]), ValueError, "'kraus'"),
+        (lambda: dump_kraus_channel([]), ValueError, "'kraus'"),
+        (lambda: dump_kraus_channel([np.eye(2)], 3, 3), TypeError, "positional"),
+    ],
+    ids=["prob_vector", "density", "pstoch", "gksl", "gksl-noise", "counts", "generator",
+         "generator-part", "generator-dim", "fiducial", "fiducial-dim", "kraus-ragged",
+         "kraus-empty", "kraus-dims"],
+)  # fmt: skip
+def test_no_writer_returns_what_its_loader_rejects(write, error, match):
+    with pytest.raises(error, match=match):
+        write()
+
+
+def test_writers_read_the_dimension_from_the_arrays():
+    fid = load_fiducial(dump_fiducial(Fiducial(np.ones(3) / np.sqrt(3))))
+    assert fid.amplitudes.shape == (3,)
+    assert load_generator(dump_generator(Generator(np.eye(9)))).matrix.shape == (9, 9)
+    d_in, d_out, _ = load_kraus_channel(dump_kraus_channel([np.ones((3, 2)) / np.sqrt(6)]))
+    assert (d_in, d_out) == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "load, obj, match",
+    [
+        (load_fiducial, {"dim": 3, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, "must list 3"),
+        (load_kraus_channel, {"dim_in": 2, "dim_out": 2, "kraus": []}, "non-empty list"),
+        (load_gksl, {"dim": 2, "hamiltonian": [[0.0, 0.0]] * 4, "noise_ops": 5}, "'noise_ops'"),
+    ],
+    ids=["fiducial", "kraus", "gksl"],
+)
+def test_loaders_reject_malformed_lists(load, obj, match):
+    with pytest.raises(ValueError, match=match):
+        load(obj)
 
 
 @pytest.mark.parametrize(
@@ -270,7 +327,7 @@ def test_round_trips_are_bit_exact():
         assert d_back == d
         assert np.array_equal(back, rho) and _same_bits(back, rho)
         kraus = [_edge_matrix(rng, (d, 2)) for _ in range(3)]
-        _, _, ops = load_kraus_channel(_via_json(dump_kraus_channel(kraus, 2, d)))
+        _, _, ops = load_kraus_channel(_via_json(dump_kraus_channel(kraus)))
         assert len(ops) == 3
         for a, b in zip(kraus, ops):
             assert np.array_equal(b, a) and _same_bits(b, a)
@@ -316,7 +373,7 @@ def test_decoder_rejects_entries_that_are_not_pairs(entry):
     # the same entry in every place, so that the list is not ragged
     with pytest.raises(ValueError, match=r"entries must be \[re, im\] pairs"):
         decode_complex_matrix([entry] * 4, 2, 2, "m")
-    obj = dump_kraus_channel([np.eye(2)], 2, 2)
+    obj = dump_kraus_channel([np.eye(2)])
     obj["kraus"][0][1] = entry
     with pytest.raises(ValueError, match=r"'kraus\[0\]' entries must be \[re, im\] pairs"):
         load_kraus_channel(obj)
@@ -328,7 +385,7 @@ def test_decoders_reject_nonfinite(bad):
     obj["matrix"][3][1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         load_density(json.loads(json.dumps(obj)))  # JSON spells these NaN, Infinity
-    obj = dump_kraus_channel([np.eye(2), np.zeros((2, 2))], 2, 2)
+    obj = dump_kraus_channel([np.eye(2), np.zeros((2, 2))])
     obj["kraus"][1][0][0] = bad
     with pytest.raises(ValueError, match=r"'kraus\[1\]' contains non-finite"):
         load_kraus_channel(obj)
@@ -340,7 +397,7 @@ def test_decoders_reject_nonfinite(bad):
     obj["matrix"][1][2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         load_pstoch(obj)
-    amp = dump_fiducial(Fiducial(2, np.array([1.0, 0.0])))
+    amp = dump_fiducial(Fiducial(np.array([1.0, 0.0])))
     amp["amplitudes"][1][0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         load_fiducial(amp)
@@ -377,7 +434,7 @@ def test_complex_decoder_rejects_strings_and_booleans(leaf):
         load_density(obj)
     # the whole-set Kraus decoder hands the set to the per-operator one,
     # which names the operator
-    obj = dump_kraus_channel([np.eye(2), np.zeros((2, 2))], 2, 2)
+    obj = dump_kraus_channel([np.eye(2), np.zeros((2, 2))])
     obj["kraus"][1][3][1] = leaf
     with pytest.raises(ValueError, match=r"'kraus\[1\]' entries must be numbers"):
         load_kraus_channel(obj)

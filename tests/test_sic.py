@@ -113,7 +113,7 @@ def test_qubit_fiducial_generates_sic():
     amp = np.array(
         [np.cos(theta / 2), np.exp(1j * np.pi / 4) * np.sin(theta / 2)]
     )
-    s = from_fiducial(Fiducial(2, amp))
+    s = from_fiducial(Fiducial(amp))
     rep = verify(s)
     assert rep.ok
 
@@ -144,12 +144,30 @@ def test_d3_frame_matrix_inverts():
 def test_non_fiducial_vector_rejected():
     # computational basis state: its orbit collapses, overlaps are wrong
     with pytest.raises(PhysicalityError):
-        from_fiducial(Fiducial(2, np.array([1.0, 0.0])))
+        from_fiducial(Fiducial(np.array([1.0, 0.0])))
+
+
+@pytest.mark.parametrize("tilt, raises", [(3e-11, False), (1e-9, True)])
+def test_frame_change_check_rejects_a_slightly_tilted_fiducial(tilt, raises):
+    # tilting the canonical qubit fiducial moves every overlap by ~tilt;
+    # |K^-1 K - I| is (d + 1) / d times that, and must stay within 1e-10
+    theta = np.arccos(1 / np.sqrt(3)) + tilt
+    amp = np.array([np.cos(theta / 2), np.exp(1j * np.pi / 4) * np.sin(theta / 2)])
+    if raises:
+        with pytest.raises(PhysicalityError, match="frame-change matrices are inconsistent"):
+            from_fiducial(amp)
+    else:
+        assert verify(from_fiducial(amp)).ok
+
+
+def test_fiducial_must_be_a_vector():
+    with pytest.raises(ValueError, match="must be a vector"):
+        from_fiducial(np.eye(2))
 
 
 def test_unnormalized_fiducial_rejected():
     with pytest.raises(PhysicalityError):
-        from_fiducial(Fiducial(2, np.array([1.0, 1.0])))
+        from_fiducial(Fiducial(np.array([1.0, 1.0])))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -157,7 +175,7 @@ def test_nonfinite_fiducial_rejected(bad):
     # used to raise PhysicalityError ("projector dev 0.000e+00", CLI exit 3):
     # NaN passes the normalization test and every projector check
     with pytest.raises(ValueError, match="non-finite") as exc:
-        from_fiducial(Fiducial(2, np.array([bad, bad])))
+        from_fiducial(Fiducial(np.array([bad, bad])))
     assert type(exc.value) is ValueError
 
 

@@ -77,6 +77,8 @@ def test_validate_density_rejects_bad_inputs():
         validate_density(np.eye(2), 2)  # trace 2
     with pytest.raises(PhysicalityError):
         validate_density(np.diag([1.5, -0.5]), 2)  # negative eigenvalue
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        validate_density(np.eye(3) / 3, 2)
 
 
 @pytest.mark.parametrize("eig, raises", [(-2e-9, True), (-5e-10, False)])
@@ -218,6 +220,11 @@ def test_measurement_map_rejects_bad_povm():
         measurement_map(
             [np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])], SIC
         )  # negative effect
+    with pytest.raises(ValueError, match="effects must have shape"):
+        measurement_map(np.eye(2), SIC)
+    tilt = np.array([[0.0, 0.1], [0.0, 0.0]])
+    with pytest.raises(PhysicalityError, match="effect 0 is not Hermitian"):
+        measurement_map([np.eye(2) / 2 + tilt, np.eye(2) / 2 - tilt], SIC)
 
 
 def test_mub_fixtures():
@@ -263,6 +270,21 @@ def test_mub_round_trip():
 )
 def test_probability_helpers_reject_nonfinite(call):
     with pytest.raises(ValueError, match="non-finite"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: prob_to_state(np.full(3, 1 / 3), SIC), "expected 4 probabilities"),
+        (lambda: overlap(np.full(4, 0.25), np.full(3, 1 / 3), 2), "must both have 4"),
+        (lambda: mub_from_sic(np.full(3, 1 / 3)), "4-entry"),
+        (lambda: sic_from_mub(np.full(4, 0.5)), "3 MUB"),
+    ],
+    ids=["prob_to_state", "overlap", "mub_from_sic", "sic_from_mub"],
+)
+def test_probability_helpers_reject_wrong_lengths(call, match):
+    with pytest.raises(ValueError, match=match):
         call()
 
 

@@ -23,7 +23,15 @@ from sicprob.tomography import (
     simulate_counts,
 )
 
-from fixtures import DATA, H3_QUBIT, S_GATE_QUBIT, TESTS, random_kraus_channel, run_python
+from fixtures import (
+    DATA,
+    H3_QUBIT,
+    S_GATE_QUBIT,
+    TESTS,
+    qutrit_sic,
+    random_kraus_channel,
+    run_python,
+)
 
 SIC = builtin_qubit()
 
@@ -367,3 +375,18 @@ def test_run_pipeline_rejects_mismatched_counts():
     c2 = CountsRecord(dim=2, shots=20, counts=np.array([[20, 0, 0, 0]] * 4))
     with pytest.raises(ValueError):
         run_pipeline(c1, c2, SIC, OptConfig(restarts=1, seed=0))
+    with pytest.raises(ValueError, match="records are d=2 but the SIC is d=3"):
+        run_pipeline(c1, c1, qutrit_sic(), OptConfig(restarts=1, seed=0))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: freq_from_counts(CountsRecord(2, 0, np.zeros((4, 4), int))), "shots must be"),
+        (lambda: reconstruct_raw(np.full((3, 3), 1 / 3), SIC), "frequency table shape"),
+    ],
+    ids=["freq_from_counts", "reconstruct_raw"],
+)
+def test_tomography_rejects_malformed_records(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
