@@ -33,8 +33,6 @@ __all__ = [
     "choi_to_pstoch",
     "is_cptp",
     "project_cptp",
-    "compose",
-    "apply",
 ]
 
 
@@ -115,6 +113,19 @@ def _choi(s: np.ndarray, sic_in: SicPovm, sic_out: SicPovm) -> np.ndarray:
     )
 
 
+def _checked_pstoch(s: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """``s`` as a float array; ValueError unless it is a finite
+    ``(d_out², d_in²)`` matrix whose columns sum to 1 to 1e-9."""
+    s = np.asarray(s, dtype=float)
+    if s.shape != (d_out * d_out, d_in * d_in):
+        raise ValueError(f"matrix shape {s.shape} does not match SIC dims ({d_out}², {d_in}²)")
+    _require_finite(s, "channel matrix")
+    dev = float(np.abs(s.sum(axis=0) - 1.0).max())
+    if dev > 1e-9:
+        raise ValueError(f"columns do not sum to 1 (max deviation {dev:.3e})")
+    return s
+
+
 def pstoch_to_choi(s: np.ndarray, sic_in: SicPovm, sic_out: SicPovm) -> np.ndarray:
     """Choi state of the channel, index order ``(in, out) x (in, out)``.
 
@@ -123,14 +134,7 @@ def pstoch_to_choi(s: np.ndarray, sic_in: SicPovm, sic_out: SicPovm) -> np.ndarr
     ValueError for a wrong shape, non-finite entries or column sums other
     than 1.
     """
-    s = np.asarray(s, dtype=float)
-    d_in, d_out = sic_in.dim, sic_out.dim
-    if s.shape != (d_out * d_out, d_in * d_in):
-        raise ValueError(f"matrix shape {s.shape} does not match SIC dims ({d_out}², {d_in}²)")
-    _require_finite(s, "channel matrix")
-    dev = float(np.abs(s.sum(axis=0) - 1.0).max())
-    if dev > 1e-9:
-        raise ValueError(f"columns do not sum to 1 (max deviation {dev:.3e})")
+    s = _checked_pstoch(s, sic_in.dim, sic_out.dim)
     rho = _choi(s, sic_in, sic_out)
     herm = float(np.abs(rho - rho.conj().T).max())
     if herm > 1e-9:
@@ -385,30 +389,3 @@ def _project_cptp_many(mats, sic_in: SicPovm, sic_out: SicPovm, opt: OptConfig |
         out.append(s_proj)
     return out
 
-
-def compose(s2: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """Channel composition: ``s2`` after ``s1``.
-
-    Raises ValueError on mismatched shapes or non-finite entries.
-    """
-    s2 = np.asarray(s2, dtype=float)
-    s1 = np.asarray(s1, dtype=float)
-    if s2.ndim != 2 or s1.ndim != 2 or s2.shape[1] != s1.shape[0]:
-        raise ValueError(f"inner dimensions do not match: {s2.shape} @ {s1.shape}")
-    _require_finite(s2, "channel matrix")
-    _require_finite(s1, "channel matrix")
-    return s2 @ s1
-
-
-def apply(s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Act on a probability vector.
-
-    Raises ValueError on mismatched shapes or non-finite entries.
-    """
-    s = np.asarray(s, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if s.ndim != 2 or p.ndim != 1 or s.shape[1] != p.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {s.shape}, vector {p.shape}")
-    _require_finite(s, "channel matrix")
-    _require_finite(p, "probability vector")
-    return s @ p

@@ -25,7 +25,7 @@ from .errors import (
     _require_finite,
     _require_int,
 )
-from .linalg import frobenius_dist, mat_exp
+from .linalg import _frobenius_dist, mat_exp
 from .sic import SicPovm, _require_sic, _to_frame
 
 __all__ = [
@@ -186,7 +186,7 @@ def evolve_unitary(g: Generator | np.ndarray, t: float, s: SicPovm) -> np.ndarra
     """
     h = as_matrix(g)
     proj = project_unit(h, s)
-    dev = math.sqrt(frobenius_dist(proj, h))
+    dev = math.sqrt(_frobenius_dist(proj, h))
     scale = max(1.0, math.sqrt(float(np.sum(h * h))))
     if dev > 1e-8 * scale:
         raise ValueError(
@@ -440,7 +440,7 @@ def project_mark(dtilde: np.ndarray, s: SicPovm) -> tuple[np.ndarray, float]:
     _require_finite(dtilde, "matrix")
     ops = _sic_ops(s)
     dproj = (ops.amat @ _mark_coefficients(dtilde, ops)).reshape(n, n)
-    return dproj, math.sqrt(frobenius_dist(dproj, dtilde))
+    return dproj, math.sqrt(_frobenius_dist(dproj, dtilde))
 
 
 def _mark_coefficients(dtilde: np.ndarray, ops: _SicOps) -> np.ndarray:

@@ -7,11 +7,7 @@ kernel for single matrices and for the frame search's stacked rotations.
 The logarithm comes from one eigendecomposition and is checked by
 exponentiating it back; only a matrix that fails that check (a defective
 or nearly defective one) goes to ``scipy.linalg.logm``, which is imported
-there and nowhere else on the analysis path. ``eig_hermitian`` is a checked
-diagonalization for callers: the library's own Hermitian eigenproblems (in
-``channels``, ``states``, ``dynamics`` and ``_framesearch``) call
-``np.linalg.eigh``/``eigvalsh`` on matrices they symmetrize themselves, and
-the frame search builds its qubit rotations in closed form.
+there and nowhere else on the analysis path.
 """
 
 from __future__ import annotations
@@ -22,13 +18,12 @@ import numpy as np
 
 from .errors import LogBranchError, NonRealLogError, _require_finite
 
-__all__ = ["mat_exp", "mat_log_real", "eig_hermitian", "frobenius_dist"]
+__all__ = ["mat_exp", "mat_log_real"]
 
 _LOG_TOL_IMAG = 1e-8
 # Largest |exp(log S) - S| entry, relative to max(1, largest |S| entry), at
 # which the eigendecomposition log is kept rather than recomputed by logm.
 _LOG_TOL_ROUND_TRIP = 1e-12
-_HERMITIAN_TOL = 1e-10
 
 
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:
@@ -145,23 +140,7 @@ def _log_real_and_exp(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log, mat_exp(log) if exp_log is None else exp_log
 
 
-def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Checks Hermiticity to 1e-10 (relative to the matrix scale) first and
-    returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors in columns.
-    """
-    a = _as_square(a, "a")
-    scale = max(1.0, float(np.abs(a).max()))
-    dev = float(np.abs(a - a.conj().T).max())
-    if dev > _HERMITIAN_TOL * scale:
-        raise ValueError(f"matrix is not Hermitian: max |a - a^H| = {dev:.3e}")
-    vals, vecs = np.linalg.eigh(a)
-    return vals, vecs
-
-
-def frobenius_dist(a: np.ndarray, b: np.ndarray) -> float:
+def _frobenius_dist(a: np.ndarray, b: np.ndarray) -> float:
     """Squared Frobenius distance ``Tr[(a-b)^H (a-b)]`` between two matrices."""
     a = np.asarray(a)
     b = np.asarray(b)

@@ -6,8 +6,10 @@ of the chosen SIC frame; the quantity computed here conjugates the
 generator over the whole family of unitary frame rotations and reports the
 negativity that survives at the most favorable frame, so a strictly
 positive value certifies genuinely quantum dynamics. A second measure
-projects an evolution matrix onto those generated by time-independent
-Markovian master equations and reports the normalized distance.
+builds, from the log of an evolution matrix, an evolution generated by a
+time-independent Markovian master equation and reports the normalized
+distance to it: an upper bound on the distance to the Markovian set, exact
+when the matrix is Markovian.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .dynamics import (
     project_unit,
 )
 from .errors import _require_finite
-from .linalg import _log_real_and_exp, frobenius_dist, mat_exp
+from .linalg import _frobenius_dist, _log_real_and_exp, mat_exp
 from .sic import SicPovm, _require_sic
 from .states import MeasurementMap
 
@@ -37,9 +39,7 @@ __all__ = [
     "EvolutionAnalysis",
     "classicality_check",
     "negativity",
-    "delta_quant",
     "delta_quant_detail",
-    "delta_nmark",
     "markov_report",
     "analyze_evolution",
     "experiment_compose",
@@ -150,11 +150,6 @@ def _quant_reports(gens, s: SicPovm, opt: OptConfig | None) -> list[DeltaQuantRe
     return [DeltaQuantReport(*row) for row in rows]
 
 
-def delta_quant(g: Generator | np.ndarray, s: SicPovm, opt: OptConfig | None = None) -> float:
-    """Negativity of a generator minimized over unitary frame changes."""
-    return delta_quant_detail(g, s, opt).value
-
-
 def _markov_parts(s_matrix: np.ndarray, s: SicPovm):
     """Log, its exponential, unitary part, dissipative fit, its residual
     and ``S_mark``.
@@ -171,14 +166,15 @@ def _markov_parts(s_matrix: np.ndarray, s: SicPovm):
     return lmat, exp_log, h_part, d_proj, residual, s_mark
 
 
-def delta_nmark(s_matrix: np.ndarray, s: SicPovm) -> float:
-    """Non-Markovianity, the ``delta_nmark`` of :func:`markov_report`."""
-    return markov_report(s_matrix, s).delta_nmark
-
-
 @dataclass(frozen=True)
 class MarkovReport:
-    """Markovian projection of an evolution matrix, with distances."""
+    """A Markovian evolution built from an evolution matrix, with distances.
+
+    ``delta_nmark`` is ``||S - s_mark||_F / d^2``. ``s_mark`` is Markovian
+    but not in general the closest Markovian evolution, so ``delta_nmark``
+    is an upper bound on the normalized distance of ``S`` to the Markovian
+    set, exact when ``S`` is Markovian.
+    """
 
     delta_nmark: float
     s_mark: np.ndarray
@@ -186,19 +182,22 @@ class MarkovReport:
 
 
 def _markov_report(s_matrix: np.ndarray, exp_log: np.ndarray, s_mark: np.ndarray) -> MarkovReport:
-    """``delta_nmark = sqrt(frobenius_dist(S, S_mark)) / d^2``, the one place
+    """``delta_nmark = sqrt(_frobenius_dist(S, S_mark)) / d^2``, the one place
     it is computed, and the reconstruction error of the log."""
-    nmark = math.sqrt(frobenius_dist(s_matrix, s_mark)) / len(s_matrix)
-    log_resid = math.sqrt(frobenius_dist(exp_log, s_matrix))
+    nmark = math.sqrt(_frobenius_dist(s_matrix, s_mark)) / len(s_matrix)
+    log_resid = math.sqrt(_frobenius_dist(exp_log, s_matrix))
     return MarkovReport(delta_nmark=nmark, s_mark=s_mark, log_residual=log_resid)
 
 
 def markov_report(s_matrix: np.ndarray, s: SicPovm) -> MarkovReport:
     """Markovian projection bundled with its quality diagnostics.
 
-    ``s_mark`` is the closest evolution generated by a time-independent
-    master equation: the exponential of the unitary part of the log plus
-    the projection of its remainder onto valid dissipative parts.
+    ``s_mark`` is an evolution generated by a time-independent master
+    equation: the exponential of the unitary part of the log plus the
+    projection of its remainder onto valid dissipative parts. It is not in
+    general the closest one, so ``delta_nmark`` is an upper bound on the
+    normalized distance to the Markovian set, exact when ``S`` is
+    Markovian.
     ``log_residual`` is the reconstruction error ``||exp(log S) - S||_F``
     of the real principal logarithm, i.e. how trustworthy the generator
     extraction itself was. The projection is exact, so it takes no
@@ -229,8 +228,8 @@ def analyze_evolution(
     Extracts the generator, splits it into unitary and dissipative parts,
     and computes the Markovian projection distances. ``markov_residual``
     is the Frobenius distance of the generator itself from the Markovian
-    set (``delta_nmark`` measures the same thing at the level of evolution
-    matrices). The nonclassicality search runs on the projected generator
+    set (``delta_nmark`` bounds the matching distance of evolution matrices
+    from above). The nonclassicality search runs on the projected generator
     ``h_part + dissipative fit``: that is the physical generator nearest
     the data, and for an exactly Markovian matrix it equals the log.
     """

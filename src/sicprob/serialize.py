@@ -1,4 +1,4 @@
-"""JSON codecs for every object that crosses the package boundary.
+"""JSON codecs for what the CLI reads and writes, and writers of its input files.
 
 Complex matrices are stored as row-major flat lists of ``[re, im]`` pairs;
 real matrices as nested row lists. Decoders validate shape, type and
@@ -11,23 +11,18 @@ number, never a string or a boolean, although NumPy would read both.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 
 import numpy as np
 
-from .dynamics import Generator, GkslSpec
 from .errors import _require_finite
 from .measures import DeltaQuantReport, MarkovReport
-from .sic import Fiducial, SicPovm
+from .sic import Fiducial
 from .tomography import CountsRecord
 
 __all__ = [
-    "encode_complex_matrix",
-    "decode_complex_matrix",
     "dump_fiducial",
     "load_fiducial",
-    "dump_sic",
     "dump_prob_vector",
     "load_prob_vector",
     "dump_density",
@@ -36,10 +31,6 @@ __all__ = [
     "load_kraus_channel",
     "dump_pstoch",
     "load_pstoch",
-    "dump_gksl",
-    "load_gksl",
-    "dump_generator",
-    "load_generator",
     "dump_counts",
     "load_counts",
     "dump_quant_report",
@@ -69,12 +60,12 @@ def _require_numbers(data, depth: int, key: str) -> None:
         raise ValueError(f"'{key}' entries must be numbers, not strings or booleans")
 
 
-def encode_complex_matrix(m: np.ndarray) -> list[list[float]]:
+def _encode_complex_matrix(m: np.ndarray) -> list[list[float]]:
     pairs = np.ascontiguousarray(m, dtype=complex).reshape(-1, 1).view(float)
     return pairs.tolist()
 
 
-def decode_complex_matrix(data, rows: int, cols: int, key: str) -> np.ndarray:
+def _decode_complex_matrix(data, rows: int, cols: int, key: str) -> np.ndarray:
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ValueError(f"'{key}' must be a flat list of {rows * cols} [re, im] pairs")
     try:
@@ -123,7 +114,7 @@ def _positive_int(obj: dict, key: str) -> int:
 def dump_fiducial(f: Fiducial) -> dict:
     d = len(f.amplitudes)
     _require_shape(f.amplitudes, (d,), "amplitudes")
-    return {"dim": d, "amplitudes": encode_complex_matrix(f.amplitudes)}
+    return {"dim": d, "amplitudes": _encode_complex_matrix(f.amplitudes)}
 
 
 def load_fiducial(obj: dict) -> Fiducial:
@@ -131,15 +122,8 @@ def load_fiducial(obj: dict) -> Fiducial:
     amps = obj.get("amplitudes")
     if not isinstance(amps, list) or len(amps) != d:
         raise ValueError(f"'amplitudes' must list {d} [re, im] pairs")
-    vec = decode_complex_matrix(amps, d, 1, "amplitudes").reshape(d)
+    vec = _decode_complex_matrix(amps, d, 1, "amplitudes").reshape(d)
     return Fiducial(vec)
-
-
-def dump_sic(s: SicPovm) -> dict:
-    return {
-        "dim": int(s.dim),
-        "projectors": [encode_complex_matrix(p) for p in s.projectors],
-    }
 
 
 def dump_prob_vector(p: np.ndarray, dim: int) -> dict:
@@ -157,12 +141,12 @@ def load_prob_vector(obj: dict) -> tuple[int, np.ndarray]:
 
 def dump_density(rho: np.ndarray, dim: int) -> dict:
     _require_shape(rho, (dim, dim), "matrix")
-    return {"dim": int(dim), "matrix": encode_complex_matrix(rho)}
+    return {"dim": int(dim), "matrix": _encode_complex_matrix(rho)}
 
 
 def load_density(obj: dict) -> tuple[int, np.ndarray]:
     d = _positive_int(obj, "dim")
-    return d, decode_complex_matrix(obj.get("matrix"), d, d, "matrix")
+    return d, _decode_complex_matrix(obj.get("matrix"), d, d, "matrix")
 
 
 def dump_kraus_channel(kraus: list[np.ndarray]) -> dict:
@@ -173,7 +157,7 @@ def dump_kraus_channel(kraus: list[np.ndarray]) -> dict:
     return {
         "dim_in": d_in,
         "dim_out": d_out,
-        "kraus": [encode_complex_matrix(a) for a in kraus],
+        "kraus": [_encode_complex_matrix(a) for a in kraus],
     }
 
 
@@ -196,7 +180,7 @@ def load_kraus_channel(obj: dict) -> tuple[int, int, list[np.ndarray]]:
         or not _only_numbers(kraus, 3)
         or np.count_nonzero(np.isfinite(pairs)) != pairs.size
     ):
-        ops = [decode_complex_matrix(a, d_out, d_in, f"kraus[{k}]") for k, a in enumerate(kraus)]
+        ops = [_decode_complex_matrix(a, d_out, d_in, f"kraus[{k}]") for k, a in enumerate(kraus)]
         return d_in, d_out, ops
     return d_in, d_out, list(pairs.view(complex).reshape(len(kraus), d_out, d_in))
 
@@ -215,54 +199,6 @@ def load_pstoch(obj: dict) -> tuple[int, int, np.ndarray]:
     d_out = _positive_int(obj, "dim_out")
     m = _real_array(obj.get("matrix"), (d_out * d_out, d_in * d_in), "matrix")
     return d_in, d_out, m
-
-
-def dump_gksl(spec: GkslSpec) -> dict:
-    d = spec.dim
-    _require_shape(spec.hamiltonian, (d, d), "hamiltonian")
-    for k, v in enumerate(spec.noise_ops):
-        _require_shape(v, (d, d), f"noise_ops[{k}]")
-    return {
-        "dim": int(d),
-        "hamiltonian": encode_complex_matrix(spec.hamiltonian),
-        "noise_ops": [encode_complex_matrix(v) for v in spec.noise_ops],
-    }
-
-
-def load_gksl(obj: dict) -> GkslSpec:
-    d = _positive_int(obj, "dim")
-    h = decode_complex_matrix(obj.get("hamiltonian"), d, d, "hamiltonian")
-    raw_ops = obj.get("noise_ops", [])
-    if not isinstance(raw_ops, list):
-        raise ValueError("'noise_ops' must be a list of matrices")
-    ops = tuple(
-        decode_complex_matrix(v, d, d, f"noise_ops[{k}]") for k, v in enumerate(raw_ops)
-    )
-    return GkslSpec(dim=d, hamiltonian=h, noise_ops=ops)
-
-
-def dump_generator(g: Generator) -> dict:
-    d = math.isqrt(len(g.matrix))
-    out = {"dim": d}
-    for key in ("matrix", "h_part", "d_part"):
-        part = getattr(g, key)
-        if part is not None:
-            _require_shape(part, (d * d, d * d), key)
-            out[key] = _floats(part)
-    return out
-
-
-def load_generator(obj: dict) -> Generator:
-    d = _positive_int(obj, "dim")
-    n = d * d
-    matrix = _real_array(obj.get("matrix"), (n, n), "matrix")
-    h_part = obj.get("h_part")
-    d_part = obj.get("d_part")
-    if h_part is not None:
-        h_part = _real_array(h_part, (n, n), "h_part")
-    if d_part is not None:
-        d_part = _real_array(d_part, (n, n), "d_part")
-    return Generator(matrix, h_part=h_part, d_part=d_part)
 
 
 def dump_counts(c: CountsRecord) -> dict:

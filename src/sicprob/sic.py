@@ -152,8 +152,10 @@ def from_fiducial(fid: Fiducial | np.ndarray) -> SicPovm:
     ValueError
         If the fiducial is not a vector or has non-finite entries.
     PhysicalityError
-        If the vector is not normalized or its orbit deviates from a SIC
-        condition by more than 1e-8.
+        If the vector is not normalized, or its orbit misses a SIC
+        condition: the projector and resolution conditions by more than
+        1e-8, or the Gram overlaps by more than ``d/(d+1) 1e-10``, which
+        the check of the frame-change matrices bounds.
     """
     psi = np.asarray(fid.amplitudes if isinstance(fid, Fiducial) else fid, dtype=complex)
     if psi.ndim != 1:

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._optim import OptConfig
-from .channels import _project_cptp_many, project_cptp
+from .channels import _checked_pstoch, _project_cptp_many, project_cptp
 from .errors import NumericalDomainError, _require_finite, _require_int
-from .linalg import frobenius_dist
+from .linalg import _frobenius_dist
 from .measures import EvolutionAnalysis, _analyze_many
 from .sic import SicPovm, fingerprint
 
@@ -152,10 +152,12 @@ def simulate_counts(
     CPTP matrices can still produce tiny negative probabilities in floating
     point; anything above ``-1e-9`` is clipped to zero and renormalized,
     anything worse is rejected as unphysical. Raises ValueError unless
-    ``shots`` is an integer (not a bool) of at least 1.
+    ``shots`` is an integer (not a bool) of at least 1, and unless
+    ``s_matrix`` is a finite ``d^2 x d^2`` matrix whose columns sum to 1 to
+    1e-9, as :func:`pstoch_to_choi` does.
     """
     _require_int(shots, "shots", 1)
-    s_matrix = np.asarray(s_matrix, dtype=float)
+    s_matrix = _checked_pstoch(s_matrix, s.dim, s.dim)
     rng = np.random.default_rng(seed)
     pin = input_prob_matrix(s)
     n = s.dim * s.dim
@@ -209,7 +211,7 @@ def _reconstruction(
         s_raw=s_raw,
         s_cptp=s_cptp,
         per_entry_error=delta,
-        meta={**meta, "cptp_distance": math.sqrt(frobenius_dist(s_raw, s_cptp))},
+        meta={**meta, "cptp_distance": math.sqrt(_frobenius_dist(s_raw, s_cptp))},
     )
 
 

@@ -8,10 +8,8 @@ from sicprob import channels, dynamics
 from sicprob._optim import OptConfig
 from sicprob.channels import (
     _project_cptp_many,
-    apply,
     builtin_ptp,
     choi_to_pstoch,
-    compose,
     is_cptp,
     kraus_to_pstoch,
     project_cptp,
@@ -194,30 +192,8 @@ def test_conversions_reject_nonfinite(bad):
         choi_to_pstoch(choi, SIC, SIC)
 
 
-# apply and compose used to return NaN; project_cptp raised a raw
-# LinAlgError, which the CLI maps to exit 4 instead of 2.
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_apply_rejects_nonfinite(bad):
-    p = np.full(4, 0.25)
-    s = np.eye(4)
-    s[2, 1] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        apply(s, p)
-    p[3] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        apply(np.eye(4), p)
-
-
-@pytest.mark.parametrize("bad", [np.nan, -np.inf])
-def test_compose_rejects_nonfinite(bad):
-    s = np.eye(4)
-    s[0, 3] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        compose(s, np.eye(4))
-    with pytest.raises(ValueError, match="non-finite"):
-        compose(np.eye(4), s)
-
-
+# project_cptp used to raise a raw LinAlgError, which the CLI maps to
+# exit 4 instead of 2.
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_project_cptp_rejects_nonfinite(bad):
     s = np.full((4, 4), bad)
@@ -252,7 +228,7 @@ def test_channel_acts_like_the_channel():
         s = kraus_to_pstoch(kraus, SIC, SIC)
         rho = random_density(rng, 2)
         out = sum(a @ rho @ a.conj().T for a in kraus)
-        assert np.abs(apply(s, state_to_prob(rho, SIC)) - state_to_prob(out, SIC)).max() < 1e-12
+        assert np.abs(s @ state_to_prob(rho, SIC) - state_to_prob(out, SIC)).max() < 1e-12
 
 
 def test_builtin_ptp_fixtures():
@@ -351,7 +327,7 @@ def test_compose_matches_operator_composition():
     s1 = kraus_to_pstoch(k1, SIC, SIC)
     s2 = kraus_to_pstoch(k2, SIC, SIC)
     k21 = [a @ b for a in k2 for b in k1]
-    assert np.abs(compose(s2, s1) - kraus_to_pstoch(k21, SIC, SIC)).max() < 1e-11
+    assert np.abs(s2 @ s1 - kraus_to_pstoch(k21, SIC, SIC)).max() < 1e-11
 
 
 def test_transpose_is_involution():
@@ -573,15 +549,3 @@ def test_project_cptp_output_is_exactly_trace_preserving():
     noisy = np.eye(4) + 0.05 * rng.standard_normal((4, 4))
     proj = project_cptp(noisy, SIC, SIC, OptConfig(restarts=2, seed=4))
     assert np.abs(proj.sum(axis=0) - 1.0).max() < 1e-9
-
-
-def test_apply_shape_checks():
-    with pytest.raises(ValueError):
-        apply(np.eye(4), np.ones(3))
-    with pytest.raises(ValueError):
-        compose(np.eye(4), np.eye(9))
-    # 1-D operands used to raise IndexError, which the CLI maps to no exit code
-    with pytest.raises(ValueError):
-        apply(np.ones(4), np.ones(4))
-    with pytest.raises(ValueError):
-        compose(np.ones(4), np.ones(4))

@@ -481,6 +481,16 @@ def test_omega_basis_is_the_family_built_from_the_traceless_basis(d):
     assert np.array_equal(omega_basis(sic), fresh)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_unitary_span_is_orthogonal_to_the_dissipators(d):
+    # analyze_evolution's markov_residual is the exact distance of the log
+    # from the GKSL generators because its two steps (project_unit, then
+    # project_mark of the rest) act on Frobenius-orthogonal subspaces
+    sic = SIC if d == 2 else qutrit_sic()
+    gram = np.einsum("iab,jkab->ijk", basis_hunit(sic), omega_basis(sic))
+    assert np.abs(gram).max() < 1e-13
+
+
 def test_dgen_from_v_matches_gksl_dissipator():
     rng = np.random.default_rng(93)
     sig = basis_sigma(2)[:-1]

@@ -3,12 +3,14 @@ import json
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
 import numpy as np
 
 import sicprob
+import sicprob.serialize
 
 # A fresh interpreter: import the package and the CLI, run a state round
 # trip and a Kraus channel round trip, and list the SciPy modules loaded.
@@ -143,3 +145,13 @@ def test_package_exports_the_public_names_of_its_modules():
     assert len(set(sicprob.__all__)) == len(sicprob.__all__)
     assert set(sicprob.__all__) == names | {"__version__"}
     assert all(hasattr(sicprob, name) for name in sicprob.__all__)
+    # README's "Public names" table gives each public name one reason, so a
+    # name cannot join or leave either __all__ without a row that says why
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public names\n")[1].split("\n## ")[0]
+    rows = [line.split("|")[2] for line in section.splitlines() if line.startswith("| ")][1:]
+    listed = [name for row in rows for name in re.findall(r"`([^`]+)`", row)]
+    assert len(listed) == len(set(listed))
+    exported = set(sicprob.__all__) - {"__version__"}
+    assert exported.isdisjoint(sicprob.serialize.__all__)
+    assert set(listed) == exported | set(sicprob.serialize.__all__)

@@ -21,15 +21,13 @@ from sicprob.dynamics import (
     project_unit,
 )
 from sicprob.errors import LogBranchError
-from sicprob.linalg import frobenius_dist, mat_exp
+from sicprob.linalg import _frobenius_dist, mat_exp
 from sicprob.measures import (
     DeltaQuantReport,
     ExperimentScheme,
     _analyze_many,
     analyze_evolution,
     classicality_check,
-    delta_nmark,
-    delta_quant,
     delta_quant_detail,
     experiment_compose,
     markov_report,
@@ -122,7 +120,7 @@ def test_delta_quant_rejects_nonfinite(bad):
     g = H3_QUBIT.copy()
     g[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        delta_quant(g, SIC, OptConfig(restarts=1))
+        delta_quant_detail(g, SIC, OptConfig(restarts=1)).value
 
 
 def test_delta_quant_rejects_mismatched_basis():
@@ -134,7 +132,7 @@ def test_delta_quant_rejects_mismatched_basis():
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda b: delta_quant(H3_QUBIT, b), "s"),
+        (lambda b: delta_quant_detail(H3_QUBIT, b).value, "s"),
         (lambda b: delta_quant_detail(H3_QUBIT, b), "s"),
         (lambda b: project_cptp(np.eye(4), b, b), "sic_in"),
         (lambda b: project_cptp(np.eye(4), SIC, b), "sic_out"),
@@ -249,7 +247,7 @@ def test_delta_quant_no_worse_than_recorded_search():
     with open(DATA / "delta_quant_tomo_d2_r2_seed0.json", encoding="utf-8") as fh:
         record = json.load(fh)
     opt = OptConfig(**record["opt"])
-    values = [delta_quant(np.array(g), SIC, opt) for g in record["generators"]]
+    values = [delta_quant_detail(np.array(g), SIC, opt).value for g in record["generators"]]
     assert len(values) == len(record["delta_quant"]) == len(record["delta_quant_slsqp"]) == 48
     for new, nelder_mead, slsqp in zip(values, record["delta_quant"], record["delta_quant_slsqp"]):
         assert new <= nelder_mead + 1e-6
@@ -382,8 +380,8 @@ def test_delta_quant_invariant_under_frame_rotation():
     b = basis_hunit(SIC)
     g = hgen_from_hamiltonian(SZ, SIC)
     u = mat_exp(0.6 * b[0])
-    v1 = delta_quant(g, SIC, OptConfig(restarts=12, seed=12))
-    v2 = delta_quant(u @ g @ u.T, SIC, OptConfig(restarts=12, seed=13))
+    v1 = delta_quant_detail(g, SIC, OptConfig(restarts=12, seed=12)).value
+    v2 = delta_quant_detail(u @ g @ u.T, SIC, OptConfig(restarts=12, seed=13)).value
     assert abs(v1 - v2) < 1e-3
 
 
@@ -404,7 +402,6 @@ def test_markov_projection_fixed_point():
     rep = markov_report(s_matrix, SIC)
     assert np.abs(rep.s_mark - s_matrix).max() < 1e-6
     assert rep.delta_nmark < 1e-8
-    assert delta_nmark(s_matrix, SIC) == rep.delta_nmark
 
 
 def test_markov_projection_identity():
@@ -414,20 +411,20 @@ def test_markov_projection_identity():
 
 def test_delta_nmark_scales_frobenius_distance():
     rep = markov_report(S_DECOHERE, SIC)
-    direct = np.sqrt(frobenius_dist(S_DECOHERE, rep.s_mark)) / 4
+    direct = np.sqrt(_frobenius_dist(S_DECOHERE, rep.s_mark)) / 4
     assert rep.delta_nmark == pytest.approx(direct, abs=1e-12)
     assert rep.log_residual < 1e-8
 
 
 def test_published_decoherent_channel_scores():
-    # three-decimal matrix: its distance from the Markovian set sits in a
-    # narrow, previously computed band
-    val = delta_nmark(S_DECOHERE, SIC)
+    # three-decimal matrix: its delta_nmark sits in a narrow, previously
+    # computed band
+    val = markov_report(S_DECOHERE, SIC).delta_nmark
     assert 0.004 < val < 0.010
 
 
 def test_published_driven_channel_scores():
-    val = delta_nmark(S_DRIVE, SIC)
+    val = markov_report(S_DRIVE, SIC).delta_nmark
     assert 0.001 < val < 0.005
 
 
@@ -649,5 +646,5 @@ def test_delta_quant_on_dissipative_table_matrix():
     from sicprob.measures import _markov_parts
 
     _, _, h_part, d_proj, _, _ = _markov_parts(S_DECOHERE, SIC)
-    val = delta_quant(h_part + d_proj, SIC, OptConfig(restarts=16, seed=22))
+    val = delta_quant_detail(h_part + d_proj, SIC, OptConfig(restarts=16, seed=22)).value
     assert val < 0.005

@@ -30,7 +30,7 @@ from sicprob.dynamics import (  # noqa: E402
     project_unit,
 )
 from sicprob.linalg import mat_exp  # noqa: E402
-from sicprob.measures import delta_quant, negativity  # noqa: E402
+from sicprob.measures import delta_quant_detail, negativity  # noqa: E402
 from sicprob.sic import builtin_qubit  # noqa: E402
 from sicprob.states import prob_to_state, qplex_membership, state_to_prob  # noqa: E402
 
@@ -129,7 +129,7 @@ def qubit_generators(draw):
 @SEARCH_PROPERTY
 @given(qubit_generators())
 def test_delta_quant_between_zero_and_negativity(lmat):
-    value = delta_quant(lmat, SICS[2], OptConfig(restarts=1))
+    value = delta_quant_detail(lmat, SICS[2], OptConfig(restarts=1)).value
     assert 0.0 <= value <= negativity(lmat)
 
 
@@ -138,8 +138,8 @@ def test_delta_quant_between_zero_and_negativity(lmat):
 def test_delta_quant_is_frame_invariant(lmat, lam):
     u = mat_exp(np.einsum("i,iab->ab", lam, QUBIT_BASIS))
     opt = OptConfig(restarts=1)
-    rotated = delta_quant(u @ lmat @ u.T, SICS[2], opt)
-    assert abs(delta_quant(lmat, SICS[2], opt) - rotated) <= 1e-6
+    rotated = delta_quant_detail(u @ lmat @ u.T, SICS[2], opt).value
+    assert abs(delta_quant_detail(lmat, SICS[2], opt).value - rotated) <= 1e-6
 
 
 @PROPERTY

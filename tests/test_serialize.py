@@ -3,32 +3,27 @@ import json
 import numpy as np
 import pytest
 
-from sicprob.dynamics import Generator, GkslSpec, lgen_from_gksl
+from sicprob.dynamics import Generator
 from sicprob.measures import DeltaQuantReport, MarkovReport
 from sicprob.serialize import (
-    decode_complex_matrix,
+    _decode_complex_matrix,
+    _encode_complex_matrix,
     dump_counts,
     dump_density,
     dump_fiducial,
-    dump_generator,
-    dump_gksl,
     dump_kraus_channel,
     dump_markov_report,
     dump_prob_vector,
     dump_pstoch,
     dump_quant_report,
-    dump_sic,
-    encode_complex_matrix,
     load_counts,
     load_density,
     load_fiducial,
-    load_generator,
-    load_gksl,
     load_kraus_channel,
     load_prob_vector,
     load_pstoch,
 )
-from sicprob.sic import Fiducial, builtin_qubit
+from sicprob.sic import Fiducial
 from sicprob.tomography import CountsRecord
 
 from fixtures import random_density, random_kraus_channel
@@ -37,9 +32,9 @@ from fixtures import random_density, random_kraus_channel
 def test_complex_matrix_codec():
     rng = np.random.default_rng(121)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    enc = encode_complex_matrix(m)
+    enc = _encode_complex_matrix(m)
     assert isinstance(enc, list)
-    assert np.abs(decode_complex_matrix(enc, 3, 3, "m") - m).max() == 0.0
+    assert np.abs(_decode_complex_matrix(enc, 3, 3, "m") - m).max() == 0.0
 
 
 def test_density_round_trip():
@@ -76,12 +71,12 @@ def test_kraus_set_decodes_as_one_array(monkeypatch):
     rng = np.random.default_rng(124)
     kraus = random_kraus_channel(rng, 3, 4, dim_out=2)
     obj = json.loads(json.dumps(dump_kraus_channel(kraus)))
-    per_op = [decode_complex_matrix(a, 2, 3, "k") for a in obj["kraus"]]
+    per_op = [_decode_complex_matrix(a, 2, 3, "k") for a in obj["kraus"]]
 
     def refuse(*args):
         raise AssertionError("decoded one operator at a time")
 
-    monkeypatch.setattr(serialize, "decode_complex_matrix", refuse)
+    monkeypatch.setattr(serialize, "_decode_complex_matrix", refuse)
     d_in, d_out, ops = serialize.load_kraus_channel(obj)
     assert (d_in, d_out) == (3, 2)
     assert len(ops) == 4
@@ -105,35 +100,6 @@ def test_pstoch_round_trip():
     assert np.abs(back - s).max() == 0.0
 
 
-def test_gksl_round_trip():
-    h = np.array([[0.5, 0.1 - 0.2j], [0.1 + 0.2j, -0.5]])
-    v = np.array([[0.0, 0.3], [0.0, 0.0]], dtype=complex)
-    spec = GkslSpec(2, h, (v,))
-    back = load_gksl(dump_gksl(spec))
-    assert back.dim == 2
-    assert np.abs(back.hamiltonian - h).max() < 1e-15
-    assert len(back.noise_ops) == 1
-    assert np.abs(back.noise_ops[0] - v).max() < 1e-15
-
-
-def test_generator_round_trip_with_parts():
-    s = builtin_qubit()
-    h = np.diag([0.5, -0.5]).astype(complex)
-    v = 0.3 * np.array([[0, 1], [0, 0]], dtype=complex)
-    g = lgen_from_gksl(GkslSpec(2, h, (v,)), s)
-    back = load_generator(dump_generator(g))
-    assert np.abs(back.matrix - g.matrix).max() == 0.0
-    assert np.abs(back.h_part - g.h_part).max() == 0.0
-    assert np.abs(back.d_part - g.d_part).max() == 0.0
-
-
-def test_generator_round_trip_without_parts():
-    g = Generator(np.eye(4))
-    back = load_generator(dump_generator(g))
-    assert back.h_part is None
-    assert back.d_part is None
-
-
 def test_counts_round_trip():
     c = CountsRecord(dim=2, shots=100, counts=np.array([[25, 25, 25, 25]] * 4))
     back = load_counts(dump_counts(c))
@@ -150,13 +116,6 @@ def test_fiducial_round_trip():
     fid = load_fiducial(obj)
     assert len(fid.amplitudes) == 3
     assert np.abs(fid.amplitudes - amp).max() == 0.0
-
-
-def test_sic_export_contains_projectors():
-    s = builtin_qubit()
-    obj = dump_sic(s)
-    assert obj["dim"] == 2
-    assert len(obj["projectors"]) == 4
 
 
 def test_report_dumps():
@@ -223,11 +182,7 @@ COUNTS2 = np.array([[4, 0, 0, 0]] * 4)
         (lambda: dump_prob_vector(np.full(9, 1 / 9), 2), ValueError, "'probs'"),
         (lambda: dump_density(np.eye(3) / 3, 2), ValueError, "'matrix'"),
         (lambda: dump_pstoch(np.eye(4), 2, 3), ValueError, "'matrix'"),
-        (lambda: dump_gksl(GkslSpec(3, np.eye(2))), ValueError, "'hamiltonian'"),
-        (lambda: dump_gksl(GkslSpec(2, np.eye(2), (np.eye(3),))), ValueError, r"'noise_ops\[0\]'"),
         (lambda: dump_counts(CountsRecord(3, 4, COUNTS2)), ValueError, "'counts'"),
-        (lambda: dump_generator(Generator(np.eye(5))), ValueError, "'matrix'"),
-        (lambda: dump_generator(Generator(np.eye(4), d_part=np.eye(9))), ValueError, "'d_part'"),
         (lambda: Generator(dim=3, matrix=np.eye(4)), TypeError, "'dim'"),
         (lambda: dump_fiducial(Fiducial(PSI2[:, None])), ValueError, "'amplitudes'"),
         (lambda: Fiducial(dim=3, amplitudes=PSI2), TypeError, "'dim'"),
@@ -235,9 +190,8 @@ COUNTS2 = np.array([[4, 0, 0, 0]] * 4)
         (lambda: dump_kraus_channel([]), ValueError, "'kraus'"),
         (lambda: dump_kraus_channel([np.eye(2)], 3, 3), TypeError, "positional"),
     ],
-    ids=["prob_vector", "density", "pstoch", "gksl", "gksl-noise", "counts", "generator",
-         "generator-part", "generator-dim", "fiducial", "fiducial-dim", "kraus-ragged",
-         "kraus-empty", "kraus-dims"],
+    ids=["prob_vector", "density", "pstoch", "counts", "generator-dim", "fiducial",
+         "fiducial-dim", "kraus-ragged", "kraus-empty", "kraus-dims"],
 )  # fmt: skip
 def test_no_writer_returns_what_its_loader_rejects(write, error, match):
     with pytest.raises(error, match=match):
@@ -247,7 +201,6 @@ def test_no_writer_returns_what_its_loader_rejects(write, error, match):
 def test_writers_read_the_dimension_from_the_arrays():
     fid = load_fiducial(dump_fiducial(Fiducial(np.ones(3) / np.sqrt(3))))
     assert fid.amplitudes.shape == (3,)
-    assert load_generator(dump_generator(Generator(np.eye(9)))).matrix.shape == (9, 9)
     d_in, d_out, _ = load_kraus_channel(dump_kraus_channel([np.ones((3, 2)) / np.sqrt(6)]))
     assert (d_in, d_out) == (2, 3)
 
@@ -257,9 +210,8 @@ def test_writers_read_the_dimension_from_the_arrays():
     [
         (load_fiducial, {"dim": 3, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, "must list 3"),
         (load_kraus_channel, {"dim_in": 2, "dim_out": 2, "kraus": []}, "non-empty list"),
-        (load_gksl, {"dim": 2, "hamiltonian": [[0.0, 0.0]] * 4, "noise_ops": 5}, "'noise_ops'"),
     ],
-    ids=["fiducial", "kraus", "gksl"],
+    ids=["fiducial", "kraus"],
 )
 def test_loaders_reject_malformed_lists(load, obj, match):
     with pytest.raises(ValueError, match=match):
@@ -344,7 +296,7 @@ def test_encoders_match_the_per_entry_formula():
     m = _edge_matrix(rng, (3, 3))
     for arr in (m, m.T, m.real, m[::2, ::2], np.array(-0.0 + 0j)):
         ref = old_encode_complex_matrix(arr)
-        got = encode_complex_matrix(arr)
+        got = _encode_complex_matrix(arr)
         assert got == ref
         assert json.dumps(got) == json.dumps(ref)  # tells -0.0 from 0.0
     s = _edge_matrix(rng, (9, 4), complex_=False)
@@ -369,10 +321,10 @@ def test_encoders_match_the_per_entry_formula():
 def test_decoder_rejects_entries_that_are_not_pairs(entry):
     data = [[1.0, 0.0], entry, [0.0, 0.0], [1.0, 0.0]]
     with pytest.raises(ValueError, match=r"'m' entries must be \[re, im\] pairs"):
-        decode_complex_matrix(data, 2, 2, "m")
+        _decode_complex_matrix(data, 2, 2, "m")
     # the same entry in every place, so that the list is not ragged
     with pytest.raises(ValueError, match=r"entries must be \[re, im\] pairs"):
-        decode_complex_matrix([entry] * 4, 2, 2, "m")
+        _decode_complex_matrix([entry] * 4, 2, 2, "m")
     obj = dump_kraus_channel([np.eye(2)])
     obj["kraus"][0][1] = entry
     with pytest.raises(ValueError, match=r"'kraus\[0\]' entries must be \[re, im\] pairs"):
@@ -424,10 +376,10 @@ def test_real_array_decoder_rejects_strings_and_booleans(leaf):
 
 @pytest.mark.parametrize("leaf", NOT_NUMBERS)
 def test_complex_decoder_rejects_strings_and_booleans(leaf):
-    data = encode_complex_matrix(np.eye(2))
+    data = _encode_complex_matrix(np.eye(2))
     data[1][0] = leaf
     with pytest.raises(ValueError, match="'m' entries must be numbers"):
-        decode_complex_matrix(data, 2, 2, "m")
+        _decode_complex_matrix(data, 2, 2, "m")
     obj = dump_density(np.eye(2) / 2, 2)
     obj["matrix"][0] = [leaf, 0]
     with pytest.raises(ValueError, match="'matrix' entries must be numbers"):

@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from sicprob import sic
 from sicprob.errors import PhysicalityError
 from sicprob.serialize import load_fiducial
 from sicprob.sic import (
@@ -147,13 +148,36 @@ def test_non_fiducial_vector_rejected():
         from_fiducial(Fiducial(np.array([1.0, 0.0])))
 
 
-@pytest.mark.parametrize("tilt, raises", [(3e-11, False), (1e-9, True)])
-def test_frame_change_check_rejects_a_slightly_tilted_fiducial(tilt, raises):
-    # tilting the canonical qubit fiducial moves every overlap by ~tilt;
-    # |K^-1 K - I| is (d + 1) / d times that, and must stay within 1e-10
+def tilted_qubit_fiducial(tilt):
     theta = np.arccos(1 / np.sqrt(3)) + tilt
-    amp = np.array([np.cos(theta / 2), np.exp(1j * np.pi / 4) * np.sin(theta / 2)])
+    return np.array([np.cos(theta / 2), np.exp(1j * np.pi / 4) * np.sin(theta / 2)])
+
+
+def perturbed_qutrit_fiducial(eps):
+    with open(DATA / "fiducial_d3.json", encoding="utf-8") as fh:
+        amp = load_fiducial(json.load(fh)).amplitudes
+    rng = np.random.default_rng(0)
+    amp = amp + eps * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    return amp / np.linalg.norm(amp)
+
+
+# Gram deviations: qubit 2.8e-11 and 9.4e-10, qutrit 3.5e-11 and 8.7e-10;
+# the rejected orbits meet every other SIC condition to 1e-8
+@pytest.mark.parametrize(
+    "amp, raises",
+    [
+        (tilted_qubit_fiducial(3e-11), False),
+        (tilted_qubit_fiducial(1e-9), True),
+        (perturbed_qutrit_fiducial(1e-5), False),
+        (perturbed_qutrit_fiducial(5e-5), True),
+    ],
+    ids=["3e-11-False", "1e-09-True", "d3-1e-05-False", "d3-5e-05-True"],
+)
+def test_frame_change_check_rejects_a_slightly_tilted_fiducial(amp, raises):
+    # moving the fiducial moves the overlaps; |K^-1 K - I| is (d + 1) / d
+    # times the largest Gram deviation, and must stay within 1e-10
     if raises:
+        assert sic._verify_projectors(sic._wh_orbit(amp)).ok
         with pytest.raises(PhysicalityError, match="frame-change matrices are inconsistent"):
             from_fiducial(amp)
     else:

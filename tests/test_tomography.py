@@ -151,6 +151,35 @@ def test_simulate_counts_rejects_nonphysical_distributions():
         simulate_counts(H3_QUBIT, SIC, shots=100, seed=0)
 
 
+@pytest.mark.parametrize(
+    "s_matrix, match",
+    [
+        (2 * np.eye(4), "columns do not sum to 1"),
+        (0.5 * np.eye(4), "columns do not sum to 1"),
+        (np.zeros((4, 4)), "columns do not sum to 1"),
+        (np.full((4, 4), np.nan), "non-finite"),
+        (np.eye(9), "matrix shape"),
+    ],
+    ids=["2I", "I/2", "zero", "nan", "9x9"],
+)
+def test_simulate_counts_rejects_what_is_not_a_channel_matrix(s_matrix, match):
+    # 2 I and I / 2 were renormalized to the statistics of I, and the zero
+    # matrix warned and then raised NumPy's pvals message
+    with pytest.raises(ValueError, match=match):
+        simulate_counts(s_matrix, SIC, shots=10, seed=1)
+
+
+@pytest.mark.parametrize("excess, raises", [(2e-9, True), (5e-10, False)])
+def test_simulate_counts_column_sum_tolerance_is_1e_9(excess, raises):
+    s_matrix = np.eye(4)
+    s_matrix[0, 2] += excess
+    if raises:
+        with pytest.raises(ValueError, match="columns do not sum to 1"):
+            simulate_counts(s_matrix, SIC, shots=100, seed=0)
+    else:
+        assert simulate_counts(s_matrix, SIC, shots=100, seed=0).counts.sum() == 400
+
+
 @pytest.mark.parametrize("excess, raises", [(2e-9, True), (5e-10, False)])
 def test_simulate_counts_negative_probability_tolerance_is_1e_9(excess, raises):
     # S = I + v 1^T with v = (-a, a, 0, 0) has unit column sums and maps an
